@@ -11,12 +11,13 @@
 //      settings at a fixed color budget.
 
 #include <cstdio>
+#include <memory>
 
+#include "qsc/api/compressor.h"
 #include "qsc/centrality/brandes.h"
-#include "qsc/centrality/color_pivot.h"
 #include "qsc/coloring/q_error.h"
 #include "qsc/coloring/rothko.h"
-#include "qsc/flow/approx_flow.h"
+#include "qsc/eval/suites.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/graph/generators.h"
 #include "qsc/lp/interior_point.h"
@@ -25,9 +26,15 @@
 #include "qsc/util/random.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 namespace {
+
+// Borrows a caller-owned graph for a one-query session (aliasing
+// shared_ptr: the session dies before the graph).
+std::shared_ptr<const qsc::Graph> Borrow(const qsc::Graph& g) {
+  return std::shared_ptr<const qsc::Graph>(std::shared_ptr<const qsc::Graph>(),
+                                           &g);
+}
 
 int64_t LargestColor(const qsc::Partition& p) {
   int64_t largest = 0;
@@ -79,25 +86,26 @@ int main() {
     qsc::TablePrinter table({"task", "paper choice", "weighting",
                              "accuracy"});
     // Max-flow (paper: a=0 b=0), accuracy = relative error, lower better.
-    const auto flow = qsc::bench::FlowDatasets()[2];
+    const auto flow = qsc::eval::FlowSuite()[2];
     const double exact_flow = qsc::MaxFlowPushRelabel(
         flow.instance.graph, flow.instance.source, flow.instance.sink);
     for (const Weighting& w : kWeightings) {
-      qsc::FlowApproxOptions options;
-      options.rothko.max_colors = 20;
-      options.rothko.alpha = w.alpha;
-      options.rothko.beta = w.beta;
+      qsc::QueryOptions query;
+      query.max_colors = 20;
+      query.alpha = w.alpha;
+      query.beta = w.beta;
+      qsc::Compressor session(Borrow(flow.instance.graph));
       const auto approx =
-          qsc::ApproximateMaxFlow(flow.instance.graph, flow.instance.source,
-                                  flow.instance.sink, options);
+          session.MaxFlow(flow.instance.source, flow.instance.sink, query);
+      QSC_CHECK_OK(approx);
       table.AddRow({"max-flow (rel.err)", "a=0 b=0", w.name,
                     qsc::FormatDouble(
-                        qsc::RelativeError(exact_flow, approx.upper_bound),
+                        qsc::RelativeError(exact_flow, approx->upper_bound),
                         3)});
     }
 
     // LP (paper: a=1 b=0).
-    const auto lp = qsc::bench::LpDatasets()[0];
+    const auto lp = qsc::eval::LpSuite()[0];
     const qsc::IpmResult exact_lp = qsc::SolveInteriorPoint(lp.lp);
     for (const Weighting& w : kWeightings) {
       qsc::LpReduceOptions options;
@@ -116,18 +124,19 @@ int main() {
     }
 
     // Centrality (paper: a=1 b=1), accuracy = Spearman, higher better.
-    const auto graph_ds = qsc::bench::CentralityDatasets()[0];
+    const auto graph_ds = qsc::eval::CentralityGraphSuite()[0];
     const auto exact_scores = qsc::BetweennessExact(graph_ds.graph);
     for (const Weighting& w : kWeightings) {
-      qsc::ColorPivotOptions options;
-      options.rothko.max_colors = 50;
-      options.rothko.alpha = w.alpha;
-      options.rothko.beta = w.beta;
-      const auto approx =
-          qsc::ApproximateBetweenness(graph_ds.graph, options);
+      qsc::QueryOptions query;
+      query.max_colors = 50;
+      query.alpha = w.alpha;
+      query.beta = w.beta;
+      qsc::Compressor session(Borrow(graph_ds.graph));
+      const auto approx = session.Centrality(query);
+      QSC_CHECK_OK(approx);
       table.AddRow({"centrality (rho)", "a=1 b=1", w.name,
                     qsc::FormatDouble(qsc::SpearmanCorrelation(
-                                          approx.scores, exact_scores),
+                                          approx->scores, exact_scores),
                                       3)});
     }
     table.Print(stdout);

@@ -9,7 +9,6 @@
 #include "qsc/coloring/stable.h"
 #include "qsc/graph/datasets.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 int main() {
   std::printf("=== Figure 1: stable vs quasi-stable coloring of the "

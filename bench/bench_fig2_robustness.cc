@@ -11,7 +11,6 @@
 #include "qsc/graph/perturb.h"
 #include "qsc/util/random.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 int main() {
   std::printf("=== Figure 2: robustness of stable vs q-stable coloring "

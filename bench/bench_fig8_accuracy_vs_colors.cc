@@ -5,21 +5,28 @@
 // LP non-monotone).
 
 #include <cstdio>
+#include <memory>
 
+#include "qsc/api/compressor.h"
 #include "qsc/centrality/brandes.h"
-#include "qsc/centrality/color_pivot.h"
-#include "qsc/flow/approx_flow.h"
+#include "qsc/eval/suites.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/lp/reduce.h"
 #include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 namespace {
 
 constexpr qsc::ColorId kBudgets[] = {5, 10, 20, 40, 80, 150};
+
+// Each budget is a cold query on a fresh session. Borrows the caller-owned
+// graph for it (aliasing shared_ptr: the session dies before the graph).
+std::shared_ptr<const qsc::Graph> Borrow(const qsc::Graph& g) {
+  return std::shared_ptr<const qsc::Graph>(std::shared_ptr<const qsc::Graph>(),
+                                           &g);
+}
 
 }  // namespace
 
@@ -28,20 +35,21 @@ int main() {
 
   // (a) max-flow.
   {
-    const auto datasets = qsc::bench::FlowDatasets();
+    const auto datasets = qsc::eval::FlowSuite();
     const auto& ds = datasets[2];  // venus0-sim
     const double exact = qsc::MaxFlowPushRelabel(
         ds.instance.graph, ds.instance.source, ds.instance.sink);
     qsc::TablePrinter table({"colors", "rel.err"});
     for (qsc::ColorId colors : kBudgets) {
-      qsc::FlowApproxOptions options;
-      options.rothko.max_colors = colors;
+      qsc::QueryOptions query;
+      query.max_colors = colors;
+      qsc::Compressor session(Borrow(ds.instance.graph));
       const auto approx =
-          qsc::ApproximateMaxFlow(ds.instance.graph, ds.instance.source,
-                                  ds.instance.sink, options);
+          session.MaxFlow(ds.instance.source, ds.instance.sink, query);
+      QSC_CHECK_OK(approx);
       table.AddRow({std::to_string(colors),
                     qsc::FormatDouble(
-                        qsc::RelativeError(exact, approx.upper_bound), 3)});
+                        qsc::RelativeError(exact, approx->upper_bound), 3)});
     }
     std::printf("(a) max-flow on %s (ideal 1.0):\n", ds.name.c_str());
     table.Print(stdout);
@@ -49,7 +57,7 @@ int main() {
 
   // (b) linear optimization.
   {
-    const auto datasets = qsc::bench::LpDatasets();
+    const auto datasets = qsc::eval::LpSuite();
     const auto& ds = datasets[0];  // qap15-sim
     const qsc::IpmResult exact = qsc::SolveInteriorPoint(ds.lp);
     qsc::TablePrinter table({"colors", "rel.err"});
@@ -71,17 +79,19 @@ int main() {
 
   // (c) centrality.
   {
-    const auto datasets = qsc::bench::CentralityDatasets();
+    const auto datasets = qsc::eval::CentralityGraphSuite();
     const auto& ds = datasets[0];  // astroph-sim
     const std::vector<double> exact = qsc::BetweennessExact(ds.graph);
     qsc::TablePrinter table({"colors", "spearman"});
     for (qsc::ColorId colors : kBudgets) {
-      qsc::ColorPivotOptions options;
-      options.rothko.max_colors = colors;
-      const auto approx = qsc::ApproximateBetweenness(ds.graph, options);
+      qsc::QueryOptions query;
+      query.max_colors = colors;
+      qsc::Compressor session(Borrow(ds.graph));
+      const auto approx = session.Centrality(query);
+      QSC_CHECK_OK(approx);
       table.AddRow({std::to_string(colors),
                     qsc::FormatDouble(
-                        qsc::SpearmanCorrelation(approx.scores, exact), 3)});
+                        qsc::SpearmanCorrelation(approx->scores, exact), 3)});
     }
     std::printf("\n(c) centrality on %s (ideal 1.0):\n", ds.name.c_str());
     table.Print(stdout);

@@ -13,10 +13,10 @@
 #include "qsc/centrality/brandes.h"
 #include "qsc/centrality/color_pivot.h"
 #include "qsc/centrality/path_sampling.h"
+#include "qsc/eval/suites.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
-#include "workloads.h"
 
 namespace {
 
@@ -54,13 +54,11 @@ std::vector<double> OursTimes(const qsc::Graph& g,
     }
     coloring_seconds += step_timer.ElapsedSeconds();
 
-    qsc::ColorPivotOptions options;
-    options.pivots_per_color = checkpoint.pivots;
     step_timer.Reset();
-    const auto approx = qsc::ApproximateBetweennessWithColoring(
-        g, refiner.partition(), options);
+    const std::vector<double> scores = qsc::ColorPivotScores(
+        g, refiner.partition(), checkpoint.pivots, /*seed=*/17);
     const double solve_seconds = step_timer.ElapsedSeconds();
-    const double rho = qsc::SpearmanCorrelation(approx.scores, exact);
+    const double rho = qsc::SpearmanCorrelation(scores, exact);
     // Anytime cost: all coloring so far plus this checkpoint's solve.
     const double cumulative = coloring_seconds + solve_seconds;
     for (size_t t = 0; t < std::size(kTargets); ++t) {
@@ -108,7 +106,7 @@ int main() {
   qsc::TablePrinter table({"dataset", "ours 0.90", "prior 0.90",
                            "ours 0.95", "prior 0.95", "ours 0.97",
                            "prior 0.97", "exact"});
-  for (const auto& dataset : qsc::bench::CentralityDatasets()) {
+  for (const auto& dataset : qsc::eval::CentralityGraphSuite()) {
     qsc::WallTimer timer;
     const std::vector<double> exact = qsc::BetweennessExact(dataset.graph);
     const double exact_seconds = timer.ElapsedSeconds();

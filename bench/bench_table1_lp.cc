@@ -9,13 +9,13 @@
 
 #include <cstdio>
 
+#include "qsc/eval/suites.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/lp/reduce.h"
 #include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
-#include "workloads.h"
 
 namespace {
 
@@ -69,7 +69,7 @@ int main() {
               "not reached\n\n");
   qsc::TablePrinter table({"dataset", "ours 3.0", "prior 3.0", "ours 2.0",
                            "prior 2.0", "ours 1.5", "prior 1.5", "exact"});
-  for (const auto& dataset : qsc::bench::LpDatasets()) {
+  for (const auto& dataset : qsc::eval::LpSuite()) {
     qsc::WallTimer timer;
     const qsc::IpmResult exact = qsc::SolveInteriorPoint(dataset.lp);
     const double exact_seconds = timer.ElapsedSeconds();

@@ -5,13 +5,13 @@
 
 #include <cstdio>
 
+#include "qsc/eval/suites.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 namespace {
 
 void AddRows(qsc::TablePrinter& table,
-             const std::vector<qsc::bench::GraphDataset>& datasets,
+             const std::vector<qsc::eval::NamedGraph>& datasets,
              const char* block) {
   for (const auto& d : datasets) {
     table.AddRow({block, d.name, d.paper_name,
@@ -28,9 +28,9 @@ int main() {
   std::printf("=== Table 2: graphs used for evaluation (stand-ins) ===\n\n");
   qsc::TablePrinter table({"block", "name", "paper dataset", "vertices",
                            "edges", "real/sim", "kind"});
-  AddRows(table, qsc::bench::GeneralDatasets(), "general");
-  AddRows(table, qsc::bench::CentralityDatasets(), "centrality");
-  for (const auto& d : qsc::bench::FlowDatasets()) {
+  AddRows(table, qsc::eval::GeneralGraphSuite(), "general");
+  AddRows(table, qsc::eval::CentralityGraphSuite(), "centrality");
+  for (const auto& d : qsc::eval::FlowSuite()) {
     table.AddRow({"max-flow", d.name, d.paper_name,
                   qsc::FormatCount(d.instance.graph.num_nodes()),
                   qsc::FormatCount(d.instance.graph.num_arcs()), "S",

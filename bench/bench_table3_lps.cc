@@ -4,17 +4,17 @@
 
 #include <cstdio>
 
+#include "qsc/eval/suites.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
-#include "workloads.h"
 
 int main() {
   std::printf("=== Table 3: linear programs used for evaluation "
               "(stand-ins) ===\n\n");
   qsc::TablePrinter table({"name", "paper dataset", "rows", "cols",
                            "nonzeros", "sol. time"});
-  for (const auto& d : qsc::bench::LpDatasets()) {
+  for (const auto& d : qsc::eval::LpSuite()) {
     qsc::WallTimer timer;
     const qsc::IpmResult exact = qsc::SolveInteriorPoint(d.lp);
     const double seconds = timer.ElapsedSeconds();

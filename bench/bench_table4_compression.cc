@@ -11,16 +11,16 @@
 #include "qsc/coloring/q_error.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/coloring/stable.h"
+#include "qsc/eval/suites.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
-#include "workloads.h"
 
 int main() {
   std::printf("=== Table 4: compression, quasi-stable vs stable coloring "
               "===\n\n");
   qsc::TablePrinter table({"dataset", "target", "max q", "mean q", "colors",
                            "compression", "time"});
-  for (const auto& dataset : qsc::bench::GeneralDatasets()) {
+  for (const auto& dataset : qsc::eval::GeneralGraphSuite()) {
     if (dataset.name == "karate") continue;  // covered by Figure 1
     const qsc::Graph& g = dataset.graph;
 

@@ -10,19 +10,19 @@
 #include <cmath>
 #include <cstdio>
 
+#include "qsc/eval/suites.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/lp/reduce.h"
 #include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
-#include "workloads.h"
 
 int main() {
   std::printf("=== Table 5: compressed linear program characteristics "
               "===\n\n");
   qsc::TablePrinter table({"dataset", "colors", "rows", "cols", "nonzeros",
                            "compression", "rel.error"});
-  for (const auto& dataset : qsc::bench::LpDatasets()) {
+  for (const auto& dataset : qsc::eval::LpSuite()) {
     const qsc::IpmResult exact = qsc::SolveInteriorPoint(dataset.lp);
     for (qsc::ColorId colors : {6, 50, 100}) {
       qsc::LpReduceOptions options;

@@ -8,13 +8,12 @@
 
 #include "qsc/centrality/color_pivot.h"
 #include "qsc/coloring/rothko.h"
-#include "qsc/flow/approx_flow.h"
+#include "qsc/eval/suites.h"
 #include "qsc/lp/reduce.h"
 #include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
-#include "workloads.h"
 
 namespace {
 
@@ -49,7 +48,7 @@ int main() {
 
   // Linear optimization: matrix coloring of the qap15 stand-in.
   {
-    const auto datasets = qsc::bench::LpDatasets();
+    const auto datasets = qsc::eval::LpSuite();
     std::vector<double> first, freq, converge;
     for (const auto& ds : datasets) {
       qsc::LpReduceOptions options;
@@ -74,7 +73,7 @@ int main() {
   // Max-flow: refiner history on the flow networks.
   {
     std::vector<double> first, freq, converge;
-    for (const auto& ds : qsc::bench::FlowDatasets()) {
+    for (const auto& ds : qsc::eval::FlowSuite()) {
       std::vector<int32_t> labels(ds.instance.graph.num_nodes(), 2);
       labels[ds.instance.source] = 0;
       labels[ds.instance.sink] = 1;
@@ -97,7 +96,7 @@ int main() {
   // Centrality: refiner history on the centrality graphs.
   {
     std::vector<double> first, freq, converge;
-    for (const auto& ds : qsc::bench::CentralityDatasets()) {
+    for (const auto& ds : qsc::eval::CentralityGraphSuite()) {
       qsc::RothkoOptions options;
       options.max_colors = 100;
       options.alpha = 1.0;

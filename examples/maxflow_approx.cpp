@@ -2,7 +2,7 @@
 // 6.1), compress-once/query-many style: one qsc::Compressor session serves
 // the whole budget sweep, so each finer budget continues the cached
 // coloring instead of recoloring from scratch. The results are
-// bit-identical to cold ApproximateMaxFlow calls at each budget.
+// bit-identical to a fresh session per budget.
 //
 //   $ ./maxflow_approx [width] [height]
 

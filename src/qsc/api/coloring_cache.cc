@@ -224,16 +224,14 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   entry->last_used.store(
       1 + use_clock_.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.lookups;
-    ++stats_.per_backend[backend_name].lookups;
-    if (!found) {
-      ++stats_.misses;
-      ++stats_.per_backend[backend_name].misses;
-    }
-  }
 
+  // The request's single stats bucket, decided under the entry lock and
+  // counted once below. The request that inserted the entry is a miss
+  // whichever branch serves it: a racing higher-budget request may have
+  // refined the new entry past this budget first, which sends the miss
+  // down the down-budget branch without making it a hit or a recoloring.
+  enum class Outcome { kHit, kMiss, kRecoloring };
+  Outcome outcome = found ? Outcome::kHit : Outcome::kMiss;
   int64_t entry_bytes = 0;
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
@@ -253,12 +251,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       // once.
       const auto served = entry->served.find(budget);
       if (served != entry->served.end()) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.hits;
-          ++stats_.per_backend[backend_name].hits;
-        }
-        handle.cache_hit = true;
+        handle.cache_hit = found;
         handle.partition = served->second.first;
         handle.max_error = served->second.second;
       } else {
@@ -269,14 +262,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
                fresh->Step(budget)) {
         }
         handle.splits = fresh->partition().num_colors() - initial;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.recolorings;
-          stats_.refine_splits += handle.splits;
-          CacheStats::BackendStats& row = stats_.per_backend[backend_name];
-          ++row.recolorings;
-          row.refine_splits += handle.splits;
-        }
+        if (found) outcome = Outcome::kRecoloring;
         handle.partition =
             std::make_shared<const Partition>(fresh->partition());
         handle.max_error = fresh->CurrentMaxError();
@@ -295,16 +281,6 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         }
       }
       handle.splits = entry->refiner->partition().num_colors() - before;
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.refine_splits += handle.splits;
-        CacheStats::BackendStats& row = stats_.per_backend[backend_name];
-        row.refine_splits += handle.splits;
-        if (found) {
-          ++stats_.hits;
-          ++row.hits;
-        }
-      }
       if (handle.splits > 0 || entry->head == nullptr) {
         entry->head =
             std::make_shared<const Partition>(entry->refiner->partition());
@@ -314,6 +290,28 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       entry->served[budget] = {handle.partition, handle.max_error};
     }
     entry_bytes = entry->MemoryBytes();
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    CacheStats::BackendStats& row = stats_.per_backend[backend_name];
+    ++stats_.lookups;
+    ++row.lookups;
+    stats_.refine_splits += handle.splits;
+    row.refine_splits += handle.splits;
+    switch (outcome) {
+      case Outcome::kHit:
+        ++stats_.hits;
+        ++row.hits;
+        break;
+      case Outcome::kMiss:
+        ++stats_.misses;
+        ++row.misses;
+        break;
+      case Outcome::kRecoloring:
+        ++stats_.recolorings;
+        ++row.recolorings;
+        break;
+    }
   }
 
   FinishUse(entry, entry_bytes);

@@ -26,7 +26,8 @@
 // run and a down-budget recompute starts from scratch — so only the
 // *stats attribution* (hit vs recoloring for racing down-budget queries)
 // depends on arrival order; totals still satisfy
-// hits + misses + recolorings == lookups.
+// hits + misses + recolorings == lookups, and the request that inserted
+// a spec's entry is its one miss whichever branch serves it.
 //
 // Byte budget (ColoringCacheOptions): a long-lived server cannot let the
 // entry map grow without bound, so the cache tracks the footprint of every
@@ -108,8 +109,8 @@ struct ColoringSpecHash {
 // The initial partition a spec induces: each pinned node in its own
 // singleton color, the rest in one shared color (color ids assigned in
 // first-appearance node order — see ColoringSpec::pinned). Matches
-// Partition::Trivial for an empty pin set and ApproximateMaxFlow's
-// historical terminal pinning for {s, t}.
+// Partition::Trivial for an empty pin set and Compressor::MaxFlow's
+// terminal pinning for {s, t}.
 Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes);
 
 // Session-lifetime amortization counters.
@@ -119,7 +120,8 @@ Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes);
 // the totals AND within every per_backend row. Which bucket a racing
 // down-budget pair lands in is arrival-order-dependent (documented in the
 // file comment), but the invariant itself holds under any interleaving
-// because the attribution is decided while the lookup is counted
+// because each request's bucket is decided once, under its entry lock, and
+// counted together with its lookup in one critical section
 // (tests/api_compressor_test.cc and the concurrency suite assert it).
 struct CacheStats {
   // One backend's share of the traffic, keyed by canonical backend name

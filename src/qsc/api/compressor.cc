@@ -304,7 +304,6 @@ class Compressor::Impl {
     bool found = false;
     {
       std::lock_guard<std::mutex> lock(lp_mutex_);
-      ++stats_.lp_lookups;
       std::vector<std::unique_ptr<LpSession>>& bucket = lp_entries_[key];
       for (const std::unique_ptr<LpSession>& candidate : bucket) {
         if (LpEquals(candidate->lp, lp)) {
@@ -314,7 +313,6 @@ class Compressor::Impl {
         }
       }
       if (!found) {
-        ++stats_.lp_misses;
         auto entry = std::make_unique<LpSession>();
         entry->lp = lp;
         bucket.push_back(std::move(entry));
@@ -322,6 +320,12 @@ class Compressor::Impl {
       }
     }
 
+    // The request's single stats bucket, decided under the session lock
+    // and counted once with its lookup (as in ColoringCache::Refine): the
+    // request that inserted the session is a miss even when a racing
+    // higher-budget request refined it past this budget first.
+    int64_t CompressorStats::* outcome =
+        found ? &CompressorStats::lp_hits : &CompressorStats::lp_misses;
     LpQueryResult result;
     {
       std::lock_guard<std::mutex> session_lock(session->mutex);
@@ -335,21 +339,23 @@ class Compressor::Impl {
         // once and memoize (mirrors ColoringCache's down-budget path).
         const auto served = session->down_served.find(options.max_colors);
         if (served != session->down_served.end()) {
-          CountLpStat(&CompressorStats::lp_hits);
-          result.telemetry.coloring_cache_hit = true;
           result.reduced = served->second;
         } else {
-          CountLpStat(&CompressorStats::lp_recolorings);
+          if (found) outcome = &CompressorStats::lp_recolorings;
           LpColoringRefiner fresh(session->lp, reduce_options);
           result.reduced = fresh.ReduceTo(options.max_colors);
           session->down_served.emplace(options.max_colors, result.reduced);
         }
       } else {
-        if (found) CountLpStat(&CompressorStats::lp_hits);
-        result.telemetry.coloring_cache_hit = found;
         result.reduced = session->refiner->ReduceTo(options.max_colors);
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(lp_mutex_);
+      ++stats_.lp_lookups;
+      ++(stats_.*outcome);
+    }
+    result.telemetry.coloring_cache_hit = outcome == &CompressorStats::lp_hits;
     result.telemetry.coloring_seconds = timer.ElapsedSeconds();
 
     timer.Reset();
@@ -479,11 +485,6 @@ class Compressor::Impl {
     std::map<ColorId, ReducedLp> down_served;
   };
 
-  void CountLpStat(int64_t CompressorStats::* counter) {
-    std::lock_guard<std::mutex> lock(lp_mutex_);
-    ++(stats_.*counter);
-  }
-
   static QueryTelemetry TelemetryFor(const ColoringCache::Handle& handle) {
     QueryTelemetry t;
     t.coloring_cache_hit = handle.cache_hit;
@@ -531,8 +532,8 @@ class Compressor::Impl {
     return Status::Ok();
   }
 
-  // The Theorem-6 pipeline of ApproximateMaxFlow, with the coloring served
-  // from the session cache. Inputs already validated.
+  // The Theorem-6 pipeline, with the coloring served from the session
+  // cache. Inputs already validated.
   StatusOr<FlowQueryResult> MaxFlowUnchecked(NodeId source, NodeId sink,
                                              const QueryOptions& options) {
     const ColoringSpec spec =

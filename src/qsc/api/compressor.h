@@ -7,9 +7,8 @@
 // share one coloring, and a request for more colors *continues* the cached
 // refinement instead of recomputing — bit-identical to a fresh run.
 //
-// All queries validate their options and return StatusOr; the legacy free
-// functions (ApproximateMaxFlow, ApproximateBetweenness) remain as thin
-// one-shot wrappers that abort on errors the session API reports.
+// All queries validate their options and return StatusOr. A one-shot query
+// is a fresh session: construct, query once, destroy.
 //
 // Thread-safety (docs/API.md "Concurrency contract"): all queries and
 // stats() may be called concurrently from any number of threads. The
@@ -60,8 +59,8 @@ namespace qsc {
 
 // Per-query knobs, uniform across the four query kinds; fields that do not
 // apply to a query are ignored by it (and documented below). Validated at
-// the Compressor boundary: invalid values yield Status::InvalidArgument
-// instead of the QSC_CHECK aborts of the legacy entry points.
+// the Compressor boundary: invalid values yield Status::InvalidArgument,
+// never a QSC_CHECK abort.
 struct QueryOptions {
   // Color budget for the coloring this query runs on. Queries at a larger
   // budget than a cached coloring continue its refinement (anytime
@@ -134,9 +133,8 @@ struct ColoringResult {
   QueryTelemetry telemetry;
 };
 
-// Result of Compressor::MaxFlow, mirroring FlowApproxResult with the
-// partition shared instead of copied (batched queries would otherwise copy
-// it per query).
+// Result of Compressor::MaxFlow. The partition is shared, not copied
+// (batched queries would otherwise copy it per query).
 struct FlowQueryResult {
   double upper_bound = 0.0;  // maxFlow of the c^2 reduced graph (Theorem 6)
   double lower_bound = 0.0;  // c^1 bound; 0 unless compute_lower_bound
@@ -258,8 +256,8 @@ class Compressor {
   StatusOr<ColoringResult> Coloring(const QueryOptions& options = {});
 
   // Coloring-based max-flow approximation (paper Theorem 6): terminals
-  // pinned to singletons, c^2 reduced graph solved exactly. Bit-identical
-  // to ApproximateMaxFlow at the same options. Defaults: alpha = beta = 0.
+  // pinned to singletons, c^2 reduced graph solved exactly, c^1 lower
+  // bound on request. Defaults: alpha = beta = 0.
   StatusOr<FlowQueryResult> MaxFlow(NodeId source, NodeId sink,
                                     const QueryOptions& options = {});
 
@@ -282,9 +280,8 @@ class Compressor {
   StatusOr<LpQueryResult> SolveLp(const LpProblem& lp,
                                   const QueryOptions& options = {});
 
-  // Color-pivot betweenness approximation (paper Sec 4.3). Bit-identical
-  // to ApproximateBetweenness at the same options. Defaults:
-  // alpha = beta = 1.
+  // Color-pivot betweenness approximation (paper Sec 4.3): ColorPivotScores
+  // over the session's cached coloring. Defaults: alpha = beta = 1.
   StatusOr<CentralityQueryResult> Centrality(const QueryOptions& options = {});
 
   // Applies one edit batch to the session graph (docs/DYNAMIC.md). The

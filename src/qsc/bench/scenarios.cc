@@ -26,7 +26,6 @@
 
 #include "qsc/api/compressor.h"
 #include "qsc/bench/scenario.h"
-#include "qsc/flow/approx_flow.h"
 #include "qsc/centrality/brandes.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/q_error.h"
@@ -479,13 +478,22 @@ void RegisterSolverKernels() {
 // The compress-once/query-many claim of the api layer (docs/API.md), as a
 // committed baseline pair: `compressor-batch-flow` serves k = 16 max-flow
 // queries from one qsc::Compressor session (one coloring, 15 cache hits),
-// `compressor-cold-flow` answers the same 16 queries with cold
-// ApproximateMaxFlow calls (16 colorings). Their baseline medians document
-// the amortization factor; the batch scenario's `abs_diff_vs_cold` counter
-// pins the bit-identity of session results to the cold path.
+// `compressor-cold-flow` answers the same 16 queries from a fresh session
+// each (16 colorings). Their baseline medians document the amortization
+// factor; the batch scenario's `abs_diff_vs_cold` counter pins the
+// bit-identity of session results to the cold path.
 
 constexpr int kBatchFlowQueries = 16;
 constexpr ColorId kBatchFlowBudget = 64;
+
+// One cold query: a fresh session over the borrowed graph (aliasing
+// shared_ptr; the session dies before `g`), so nothing is cached.
+StatusOr<FlowQueryResult> ColdMaxFlow(const Graph& g, NodeId source,
+                                      NodeId sink, const QueryOptions& query) {
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  return session.MaxFlow(source, sink, query);
+}
 
 // The 100k-node BA scenario graph, materialized as a directed graph
 // (capacity in both directions) so max-flow terminals can be pinned.
@@ -529,11 +537,10 @@ void RegisterCompressorBatchFlow() {
         });
 
         // Cold reference, outside the timed closure: the committed
-        // baseline asserts per-query bit-identity with the cold path.
-        FlowApproxOptions cold;
-        cold.rothko.max_colors = kBatchFlowBudget;
-        const FlowApproxResult reference =
-            ApproximateMaxFlow(g, source, sink, cold);
+        // baseline asserts per-query bit-identity with a fresh session.
+        const StatusOr<FlowQueryResult> reference =
+            ColdMaxFlow(g, source, sink, query);
+        QSC_CHECK_OK(reference);
 
         r.params = {{"nodes", static_cast<double>(g.num_nodes())},
                     {"arcs", static_cast<double>(g.num_arcs())},
@@ -544,7 +551,7 @@ void RegisterCompressorBatchFlow() {
             {"colorings_computed", colorings},
             {"num_colors", colors},
             {"upper_bound", upper},
-            {"abs_diff_vs_cold", std::abs(upper - reference.upper_bound)}};
+            {"abs_diff_vs_cold", std::abs(upper - reference->upper_bound)}};
         return r;
       }));
 }
@@ -554,16 +561,16 @@ void RegisterCompressorColdFlow() {
   info.name = "pipelines/compressor-cold-flow";
   info.group = "pipelines";
   info.description =
-      "the same 16 s-t max-flow queries as compressor-batch-flow, each as "
-      "a cold ApproximateMaxFlow call (16 colorings); single-shot";
+      "the same 16 s-t max-flow queries as compressor-batch-flow, each "
+      "served by a fresh Compressor session (16 colorings); single-shot";
   info.smoke = true;
   ScenarioRegistry::Global().Register(Scenario(
       std::move(info), [](const BenchContext& ctx) {
         const Graph g = DirectedBa100k(ctx.seed ^ 0x9a0d);
         const NodeId source = 0;
         const NodeId sink = g.num_nodes() - 1;
-        FlowApproxOptions cold;
-        cold.rothko.max_colors = kBatchFlowBudget;
+        QueryOptions query;
+        query.max_colors = kBatchFlowBudget;
 
         double upper = 0.0, colors = 0.0;
         ScenarioResult r;
@@ -571,10 +578,11 @@ void RegisterCompressorColdFlow() {
         // repeats would only slow CI without steadying the median.
         r.timing = MeasureSeconds(kSingleShot, [&] {
           for (int i = 0; i < kBatchFlowQueries; ++i) {
-            const FlowApproxResult approx =
-                ApproximateMaxFlow(g, source, sink, cold);
-            upper = approx.upper_bound;
-            colors = static_cast<double>(approx.num_colors);
+            const StatusOr<FlowQueryResult> approx =
+                ColdMaxFlow(g, source, sink, query);
+            QSC_CHECK_OK(approx);
+            upper = approx->upper_bound;
+            colors = static_cast<double>(approx->num_colors);
           }
         });
         r.params = {{"nodes", static_cast<double>(g.num_nodes())},

@@ -1,14 +1,10 @@
 #include "qsc/centrality/color_pivot.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 
-#include "qsc/api/compressor.h"
 #include "qsc/centrality/brandes.h"
 #include "qsc/parallel/parallel_for.h"
 #include "qsc/util/random.h"
-#include "qsc/util/timer.h"
 
 namespace qsc {
 
@@ -71,45 +67,6 @@ std::vector<double> ColorPivotScores(const GraphView& g, const Partition& colori
         contributions[i] = {};  // release before later pivots finish
       });
   return scores;
-}
-
-ApproxBetweennessResult ApproximateBetweenness(
-    const Graph& g, const ColorPivotOptions& options) {
-  // One-shot session over a borrowed graph (aliasing shared_ptr: the
-  // session dies before `g`).
-  Compressor session(
-      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
-  QueryOptions query;
-  query.max_colors = options.rothko.max_colors;
-  query.q_tolerance = options.rothko.q_tolerance;
-  query.alpha = options.rothko.alpha;
-  query.beta = options.rothko.beta;
-  query.split_mean = options.rothko.split_mean;
-  query.pivots_per_color = options.pivots_per_color;
-  query.seed = options.seed;
-  StatusOr<CentralityQueryResult> result = session.Centrality(query);
-  QSC_CHECK_OK(result);  // legacy contract: invalid options abort
-
-  ApproxBetweennessResult out;
-  out.scores = std::move(result->scores);
-  out.num_colors = result->num_colors;
-  out.coloring_seconds = result->telemetry.coloring_seconds;
-  out.solve_seconds = result->telemetry.solve_seconds;
-  out.coloring = *result->coloring;
-  return out;
-}
-
-ApproxBetweennessResult ApproximateBetweennessWithColoring(
-    const Graph& g, const Partition& coloring,
-    const ColorPivotOptions& options) {
-  ApproxBetweennessResult result;
-  result.coloring = coloring;
-  result.num_colors = coloring.num_colors();
-  WallTimer timer;
-  result.scores =
-      ColorPivotScores(g, coloring, options.pivots_per_color, options.seed);
-  result.solve_seconds = timer.ElapsedSeconds();
-  return result;
 }
 
 }  // namespace qsc

@@ -12,44 +12,17 @@
 #include <vector>
 
 #include "qsc/coloring/partition.h"
-#include "qsc/coloring/rothko.h"
 #include "qsc/graph/graph_view.h"
 
 namespace qsc {
 
-struct ColorPivotOptions {
-  ColorPivotOptions() {
-    rothko.alpha = 1.0;
-    rothko.beta = 1.0;
-  }
-  RothkoOptions rothko;  // max_colors governs the accuracy/speed trade-off
-  int32_t pivots_per_color = 1;
-  uint64_t seed = 17;
-};
+class ThreadPool;
 
-struct ApproxBetweennessResult {
-  std::vector<double> scores;
-  ColorId num_colors = 0;
-  double coloring_seconds = 0.0;
-  double solve_seconds = 0.0;
-  Partition coloring;
-};
-
-// One-shot convenience wrapper over qsc::Compressor::Centrality; prefer
-// the session API when issuing more than one query against a graph.
-ApproxBetweennessResult ApproximateBetweenness(
-    const Graph& g, const ColorPivotOptions& options);
-
-// Variant that reuses an existing coloring (e.g. from an anytime refiner).
-ApproxBetweennessResult ApproximateBetweennessWithColoring(
-    const Graph& g, const Partition& coloring,
-    const ColorPivotOptions& options);
-
-// The estimator core: one size-weighted Brandes pass per sampled pivot.
-// Returns only the scores, so callers holding a shared coloring (the
-// session API) do not pay a Partition copy per query. With a pool the
-// pivot passes run concurrently and their contributions merge strictly in
-// pivot order; each pass writes every node's score once, so the result is
+// The estimator core: one size-weighted Brandes pass per sampled pivot
+// over a caller-supplied coloring (qsc::Compressor::Centrality passes the
+// session's cached coloring). With a pool the pivot passes run
+// concurrently and their contributions merge strictly in pivot order;
+// each pass writes every node's score once, so the result is
 // bit-identical to the sequential loop for any pool size.
 std::vector<double> ColorPivotScores(const GraphView& g, const Partition& coloring,
                                      int32_t pivots_per_color, uint64_t seed,

@@ -5,74 +5,25 @@
 #include <limits>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "qsc/coloring/witness_spread.h"
+
 namespace qsc {
-namespace {
-
-struct PairStats {
-  double max_w = 0.0;
-  double min_w = 0.0;
-  int64_t count = 0;  // members with at least one edge toward the target
-};
-
-// Effective spread taking absent members (weight 0) into account.
-double Spread(const PairStats& s, int64_t color_size) {
-  double hi = s.max_w;
-  double lo = s.min_w;
-  if (s.count < color_size) {
-    hi = std::max(hi, 0.0);
-    lo = std::min(lo, 0.0);
-  }
-  return hi - lo;
-}
-
-}  // namespace
 
 QErrorStats ComputeQError(const GraphView& g, const Partition& p) {
   QSC_CHECK_EQ(g.num_nodes(), p.num_nodes());
   QErrorStats stats;
   double total_spread = 0.0;
-
-  // One direction at a time to bound memory: `forward` aggregates
-  // out-weights of the source color's members; the second pass aggregates
-  // in-weights of the target color's members.
-  const int num_passes = g.undirected() ? 1 : 2;
-  for (int pass = 0; pass < num_passes; ++pass) {
-    for (ColorId c = 0; c < p.num_colors(); ++c) {
-      // target color -> stats over members of c.
-      std::unordered_map<ColorId, PairStats> per_target;
-      std::unordered_map<ColorId, double> node_weight;
-      for (NodeId v : p.Members(c)) {
-        node_weight.clear();
-        const auto neighbors =
-            pass == 0 ? g.OutNeighbors(v) : g.InNeighbors(v);
-        for (const NeighborEntry& e : neighbors) {
-          node_weight[p.ColorOf(e.node)] += e.weight;
-        }
-        for (const auto& [target, w] : node_weight) {
-          auto [it, inserted] = per_target.try_emplace(target);
-          PairStats& s = it->second;
-          if (inserted) {
-            s.max_w = s.min_w = w;
-            s.count = 1;
-          } else {
-            s.max_w = std::max(s.max_w, w);
-            s.min_w = std::min(s.min_w, w);
-            ++s.count;
-          }
-        }
-      }
-      const int64_t size = p.ColorSize(c);
-      for (const auto& [target, s] : per_target) {
-        const double spread = Spread(s, size);
-        stats.max_q = std::max(stats.max_q, spread);
-        total_spread += spread;
-        ++stats.num_active_entries;
-      }
-    }
-  }
+  const auto visit = [&](int, ColorId, int64_t size, ColorId,
+                         const WitnessStats& s) {
+    const double spread = s.Spread(size);
+    stats.max_q = std::max(stats.max_q, spread);
+    total_spread += spread;
+    ++stats.num_active_entries;
+    return true;
+  };
+  ScanWitnessPairs(g, p, visit);
   if (stats.num_active_entries > 0) {
     stats.mean_q = total_spread / static_cast<double>(stats.num_active_entries);
   }
@@ -81,46 +32,26 @@ QErrorStats ComputeQError(const GraphView& g, const Partition& p) {
 
 double ComputeRelativeError(const GraphView& g, const Partition& p) {
   QSC_CHECK_EQ(g.num_nodes(), p.num_nodes());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double max_eps = 0.0;
-  const int num_passes = g.undirected() ? 1 : 2;
-  for (int pass = 0; pass < num_passes; ++pass) {
-    for (ColorId c = 0; c < p.num_colors() && max_eps != kInf; ++c) {
-      std::unordered_map<ColorId, PairStats> per_target;
-      std::unordered_map<ColorId, double> node_weight;
-      for (NodeId v : p.Members(c)) {
-        node_weight.clear();
-        const auto neighbors =
-            pass == 0 ? g.OutNeighbors(v) : g.InNeighbors(v);
-        for (const NeighborEntry& e : neighbors) {
-          QSC_CHECK_GE(e.weight, 0.0);
-          node_weight[p.ColorOf(e.node)] += e.weight;
-        }
-        for (const auto& [target, w] : node_weight) {
-          auto [it, inserted] = per_target.try_emplace(target);
-          PairStats& s = it->second;
-          if (inserted) {
-            s.max_w = s.min_w = w;
-            s.count = 1;
-          } else {
-            s.max_w = std::max(s.max_w, w);
-            s.min_w = std::min(s.min_w, w);
-            ++s.count;
-          }
-        }
-      }
-      const int64_t size = p.ColorSize(c);
-      for (const auto& [target, s] : per_target) {
-        // A member without an edge has weight 0, which is only similar to
-        // 0 itself; mixed zero / nonzero makes the pair unsatisfiable.
-        if (s.count < size || s.min_w <= 0.0) {
-          max_eps = kInf;
-          break;
-        }
-        max_eps = std::max(max_eps, std::log(s.max_w / s.min_w));
-      }
+  // Every arc is some node's out-arc, so this covers both directions.
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const NeighborEntry& e : g.OutNeighbors(v)) {
+      QSC_CHECK_GE(e.weight, 0.0);
     }
   }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double max_eps = 0.0;
+  const auto visit = [&](int, ColorId, int64_t size, ColorId,
+                         const WitnessStats& s) {
+    // A member without an edge has weight 0, which is only similar to 0
+    // itself; mixed zero / nonzero makes the pair unsatisfiable.
+    if (s.count < size || s.min_w <= 0.0) {
+      max_eps = kInf;
+      return false;
+    }
+    max_eps = std::max(max_eps, std::log(s.max_w / s.min_w));
+    return true;
+  };
+  ScanWitnessPairs(g, p, visit);
   return max_eps;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "qsc/coloring/flat_rows.h"
+#include "qsc/coloring/witness_spread.h"
 #include "qsc/parallel/parallel_for.h"
 #include "qsc/util/timer.h"
 
@@ -104,10 +105,7 @@ class RothkoRefiner::Impl {
   // Max/min/presence-count of the witness degrees for one ordered color
   // pair in one direction. `version` identifies the generation; heap
   // entries carrying an older version are stale.
-  struct PairAgg {
-    double max_w = 0.0;
-    double min_w = 0.0;
-    int64_t count = 0;
+  struct PairAgg : WitnessStats {
     uint64_t version = 0;
   };
 
@@ -169,17 +167,6 @@ class RothkoRefiner::Impl {
     if (directed_) in_affected_.Grow(partition_.num_colors());
   }
 
-  // Spread of witness degrees, extending absent members as weight 0.
-  double EffectiveError(const PairAgg& agg, int64_t color_size) const {
-    double hi = agg.max_w;
-    double lo = agg.min_w;
-    if (agg.count < color_size) {
-      hi = std::max(hi, 0.0);
-      lo = std::min(lo, 0.0);
-    }
-    return hi - lo;
-  }
-
   double WeightedPriority(double err, ColorId src, ColorId dst) const {
     double c = 1.0;
     if (options_.alpha != 0.0) {
@@ -196,7 +183,7 @@ class RothkoRefiner::Impl {
   void PushEntries(ColorId src, ColorId dst, uint8_t direction,
                    const PairAgg& agg) {
     const ColorId stats_color = direction == 0 ? src : dst;
-    const double err = EffectiveError(agg, partition_.ColorSize(stats_color));
+    const double err = agg.Spread(partition_.ColorSize(stats_color));
     if (err <= 0.0) return;
     weighted_heap_.push(
         {WeightedPriority(err, src, dst), src, dst, direction, agg.version});
@@ -213,9 +200,9 @@ class RothkoRefiner::Impl {
     for (NodeId v : partition_.Members(c)) {
       for (const RowEntry& e : deg.RowOf(v)) {
         bool fresh;
-        // A fresh slot is value-initialized (count 0), which MergeWeight
+        // A fresh slot is value-initialized (count 0), which Merge
         // treats as the first sample.
-        MergeWeight(agg_scratch_.Slot(e.key, &fresh), e.weight);
+        agg_scratch_.Slot(e.key, &fresh).Merge(e.weight);
       }
     }
     sorted_keys_.assign(agg_scratch_.touched().begin(),
@@ -245,17 +232,6 @@ class RothkoRefiner::Impl {
   void RebuildTargetInAggregates(ColorId c) {
     RebuildAggRow(c, in_deg_, in_agg_[c], /*source_side=*/false,
                   /*direction=*/1);
-  }
-
-  static void MergeWeight(PairAgg& agg, double w) {
-    if (agg.count == 0) {
-      agg.max_w = agg.min_w = w;
-      agg.count = 1;
-    } else {
-      agg.max_w = std::max(agg.max_w, w);
-      agg.min_w = std::min(agg.min_w, w);
-      ++agg.count;
-    }
   }
 
   // Stores `agg` for key `other` into `aggs` (erasing on empty) and pushes
@@ -305,10 +281,10 @@ class RothkoRefiner::Impl {
       const FlatWeightRows::Row& row = deg.RowOf(v);
       if (row.empty()) continue;
       if (row.back().key == new_key) {
-        MergeWeight(score.new_agg, row.back().weight);
+        score.new_agg.Merge(row.back().weight);
       }
       const RowEntry* e = deg.Find(v, split_key);
-      if (e != nullptr) MergeWeight(score.split_agg, e->weight);
+      if (e != nullptr) score.split_agg.Merge(e->weight);
     }
     return score;
   }

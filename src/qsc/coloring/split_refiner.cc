@@ -2,34 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "qsc/coloring/witness_spread.h"
 #include "qsc/util/check.h"
 
 namespace qsc {
-namespace {
-
-struct PairStats {
-  double max_w = 0.0;
-  double min_w = 0.0;
-  int64_t count = 0;  // members with at least one edge toward the target
-};
-
-// Effective spread taking absent members (weight 0) into account, exactly
-// as ComputeQError does (q_error.cc).
-double Spread(const PairStats& s, int64_t color_size) {
-  double hi = s.max_w;
-  double lo = s.min_w;
-  if (s.count < color_size) {
-    hi = std::max(hi, 0.0);
-    lo = std::min(lo, 0.0);
-  }
-  return hi - lo;
-}
-
-}  // namespace
 
 WitnessSplitRefiner::WitnessSplitRefiner(const GraphView& g, Partition initial,
                                          const ColoringParams& params)
@@ -54,65 +33,38 @@ bool WitnessSplitRefiner::FindWorstWitness(Witness* out) {
   int best_pass = 0;
   ColorId best_color = -1;
   ColorId best_target = -1;
-  const int num_passes = g.undirected() ? 1 : 2;
-  for (int pass = 0; pass < num_passes; ++pass) {
-    for (ColorId c = 0; c < p.num_colors(); ++c) {
-      std::unordered_map<ColorId, PairStats> per_target;
-      std::unordered_map<ColorId, double> node_weight;
-      for (NodeId v : p.Members(c)) {
-        node_weight.clear();
-        const auto neighbors =
-            pass == 0 ? g.OutNeighbors(v) : g.InNeighbors(v);
-        for (const NeighborEntry& e : neighbors) {
-          node_weight[p.ColorOf(e.node)] += e.weight;
-        }
-        for (const auto& [target, w] : node_weight) {
-          auto [it, inserted] = per_target.try_emplace(target);
-          PairStats& s = it->second;
-          if (inserted) {
-            s.max_w = s.min_w = w;
-            s.count = 1;
-          } else {
-            s.max_w = std::max(s.max_w, w);
-            s.min_w = std::min(s.min_w, w);
-            ++s.count;
-          }
-        }
-      }
-      const int64_t size = p.ColorSize(c);
-      const double size_c = static_cast<double>(size);
-      for (const auto& [target, s] : per_target) {
-        const double spread = Spread(s, size);
-        max_error = std::max(max_error, spread);
-        if (spread <= 0.0 || size < 2) continue;
-        // Definition-1 pair weighting C_ij = |P_i|^alpha * |P_j|^beta with
-        // i the source color: in the out direction c is the source; in the
-        // in direction the witness target is the source and c (the color
-        // being split) is the pair's j.
-        const double size_t_ = static_cast<double>(p.ColorSize(target));
-        const double weight =
-            pass == 0 ? std::pow(size_c, params_.alpha) *
-                            std::pow(size_t_, params_.beta)
-                      : std::pow(size_t_, params_.alpha) *
-                            std::pow(size_c, params_.beta);
-        const double score = weight * spread;
-        const bool better =
-            !found || score > best_score ||
-            (score == best_score &&
-             (pass < best_pass ||
-              (pass == best_pass &&
-               (c < best_color ||
-                (c == best_color && target < best_target)))));
-        if (better) {
-          found = true;
-          best_score = score;
-          best_pass = pass;
-          best_color = c;
-          best_target = target;
-        }
-      }
+  const auto visit = [&](int pass, ColorId c, int64_t size, ColorId target,
+                         const WitnessStats& s) {
+    const double spread = s.Spread(size);
+    max_error = std::max(max_error, spread);
+    if (spread <= 0.0 || size < 2) return true;
+    // Definition-1 pair weighting C_ij = |P_i|^alpha * |P_j|^beta with i
+    // the source color: in the out direction c is the source; in the in
+    // direction the witness target is the source and c (the color being
+    // split) is the pair's j.
+    const double size_c = static_cast<double>(size);
+    const double size_t_ = static_cast<double>(p.ColorSize(target));
+    const double weight =
+        pass == 0
+            ? std::pow(size_c, params_.alpha) * std::pow(size_t_, params_.beta)
+            : std::pow(size_t_, params_.alpha) * std::pow(size_c, params_.beta);
+    const double score = weight * spread;
+    const bool better =
+        !found || score > best_score ||
+        (score == best_score &&
+         (pass < best_pass ||
+          (pass == best_pass &&
+           (c < best_color || (c == best_color && target < best_target)))));
+    if (better) {
+      found = true;
+      best_score = score;
+      best_pass = pass;
+      best_color = c;
+      best_target = target;
     }
-  }
+    return true;
+  };
+  ScanWitnessPairs(g, p, visit);
   current_error_ = max_error;
   if (!found) return false;
 

@@ -356,13 +356,12 @@ DifferentialReport DifferentialRunner::CheckCentrality(
   // Degenerate differential oracle: one singleton color per node makes the
   // color-pivot estimator pick every node as its own pivot with weight 1,
   // which IS Brandes' algorithm.
-  ColorPivotOptions discrete_options;
-  discrete_options.seed = options_.seed;
-  const ApproxBetweennessResult discrete = ApproximateBetweennessWithColoring(
-      g, Partition::Discrete(g.num_nodes()), discrete_options);
+  const std::vector<double> discrete =
+      ColorPivotScores(g, Partition::Discrete(g.num_nodes()),
+                       /*pivots_per_color=*/1, options_.seed);
   double worst = 0.0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    worst = std::max(worst, std::abs(discrete.scores[v] - exact[v]));
+    worst = std::max(worst, std::abs(discrete[v] - exact[v]));
   }
   check.Expect(worst <= 1e-6, "centrality/discrete-equals-brandes",
                Fmt("max |approx - exact| = %.12g (n = %.0f)", worst,

@@ -21,7 +21,7 @@
 namespace qsc {
 namespace eval {
 
-// Exact flow via options.flow_solver; approximation via ApproximateMaxFlow
+// Exact flow via options.flow_solver; approximation via Compressor::MaxFlow
 // (upper bound; Theorem-6 lower bound when options.compute_flow_lower_bound).
 std::vector<RunMetrics> RunMaxFlowPipeline(const FlowInstance& instance,
                                            const EvalOptions& options,

@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "kernel_reference.h"
 #include "qsc/api/coloring_cache.h"
 #include "qsc/api/compressor.h"
 #include "qsc/coloring/rothko.h"
-#include "qsc/flow/approx_flow.h"
 #include "qsc/graph/generators.h"
 #include "qsc/util/random.h"
 #include "rothko_corpus.h"
@@ -110,8 +110,9 @@ TEST(CacheResumeTest, SaturatedResumeMatchesFreshOverCorpus) {
 }
 
 // Pinned-terminal specs (the max-flow path) resume identically too: the
-// session's ladder of MaxFlow budgets reproduces cold ApproximateMaxFlow
-// colorings and bounds at every budget, over the directed corpus.
+// session's ladder of MaxFlow budgets reproduces, at every budget and over
+// the directed corpus, the colorings and bounds of the kernels composed by
+// hand from scratch (kernel_reference.h).
 TEST(CacheResumeTest, PinnedFlowResumeMatchesColdOverCorpus) {
   const std::vector<ColorId> budgets = {8, 16, 32};
   for (const uint64_t seed : CorpusSeeds()) {
@@ -125,9 +126,8 @@ TEST(CacheResumeTest, PinnedFlowResumeMatchesColdOverCorpus) {
       const auto resumed = session.MaxFlow(source, sink, query);
       ASSERT_TRUE(resumed.ok());
 
-      FlowApproxOptions cold;
-      cold.rothko.max_colors = budget;
-      const FlowApproxResult fresh = ApproximateMaxFlow(g, source, sink, cold);
+      const testing_reference::FlowReference fresh =
+          testing_reference::ReferenceMaxFlow(g, source, sink, budget);
       ASSERT_EQ(resumed->upper_bound, fresh.upper_bound)
           << "seed " << seed << " budget " << budget;
       ASSERT_EQ(resumed->coloring->color_of(), fresh.coloring.color_of())
@@ -137,7 +137,7 @@ TEST(CacheResumeTest, PinnedFlowResumeMatchesColdOverCorpus) {
 }
 
 // The cache layer directly: InitialPartition reproduces the terminal
-// pinning of ApproximateMaxFlow, and a shared handle is returned without
+// pinning of Compressor::MaxFlow, and a shared handle is returned without
 // refinement when the budget is already met.
 TEST(ColoringCacheTest, InitialPartitionPinsInOrder) {
   ColoringSpec spec;

@@ -1,6 +1,7 @@
-// qsc::Compressor: boundary validation (every rejection the api_redesign
-// issue lists), equivalence of session queries with the legacy one-shot
-// entry points, batch-vs-loop identity, and cache/telemetry semantics.
+// qsc::Compressor: boundary validation (every rejection the session
+// boundary makes), equivalence of session queries with the kernels
+// composed by hand (kernel_reference.h), batch-vs-loop identity, and
+// cache/telemetry semantics.
 
 #include "qsc/api/compressor.h"
 
@@ -13,11 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "qsc/centrality/color_pivot.h"
+#include "kernel_reference.h"
 #include "qsc/coloring/backend.h"
 #include "qsc/dynamic/edit_stream.h"
 #include "qsc/coloring/rothko.h"
-#include "qsc/flow/approx_flow.h"
 #include "qsc/graph/generators.h"
 #include "qsc/lp/generators.h"
 #include "qsc/lp/reduce.h"
@@ -177,15 +177,14 @@ TEST(CompressorValidationTest, BatchValidatesBeforeServing) {
   EXPECT_EQ(session.stats().coloring.lookups, 0);
 }
 
-// --- equivalence with the legacy one-shot entry points --------------------
+// --- equivalence with the kernels composed by hand -----------------------
 
-TEST(CompressorTest, MaxFlowMatchesLegacyEntryPoint) {
+TEST(CompressorTest, MaxFlowMatchesHandComposedKernels) {
   FlowInstance instance = TestInstance(3);
-  FlowApproxOptions legacy_options;
-  legacy_options.rothko.max_colors = 12;
-  legacy_options.compute_lower_bound = true;
-  const FlowApproxResult legacy = ApproximateMaxFlow(
-      instance.graph, instance.source, instance.sink, legacy_options);
+  const testing_reference::FlowReference reference =
+      testing_reference::ReferenceMaxFlow(instance.graph, instance.source,
+                                          instance.sink, /*max_colors=*/12,
+                                          /*compute_lower_bound=*/true);
 
   Compressor session(std::move(instance.graph));
   QueryOptions query;
@@ -193,19 +192,18 @@ TEST(CompressorTest, MaxFlowMatchesLegacyEntryPoint) {
   query.compute_lower_bound = true;
   const auto result = session.MaxFlow(instance.source, instance.sink, query);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->upper_bound, legacy.upper_bound);
-  EXPECT_EQ(result->lower_bound, legacy.lower_bound);
-  EXPECT_EQ(result->num_colors, legacy.num_colors);
-  EXPECT_TRUE(*result->coloring == legacy.coloring);
+  EXPECT_EQ(result->upper_bound, reference.upper_bound);
+  EXPECT_EQ(result->lower_bound, reference.lower_bound);
+  EXPECT_EQ(result->num_colors, reference.coloring.num_colors());
+  EXPECT_TRUE(*result->coloring == reference.coloring);
 }
 
-TEST(CompressorTest, CentralityMatchesLegacyEntryPoint) {
+TEST(CompressorTest, CentralityMatchesHandComposedKernels) {
   Graph g = TestGraph(29);
-  ColorPivotOptions legacy_options;
-  legacy_options.rothko.max_colors = 24;
-  legacy_options.seed = 99;
-  const ApproxBetweennessResult legacy =
-      ApproximateBetweenness(g, legacy_options);
+  const testing_reference::CentralityReference reference =
+      testing_reference::ReferenceCentrality(g, /*max_colors=*/24,
+                                             /*pivots_per_color=*/1,
+                                             /*seed=*/99);
 
   Compressor session(std::move(g));
   QueryOptions query;
@@ -213,9 +211,9 @@ TEST(CompressorTest, CentralityMatchesLegacyEntryPoint) {
   query.seed = 99;
   const auto result = session.Centrality(query);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_colors, legacy.num_colors);
-  EXPECT_EQ(result->scores, legacy.scores);  // bitwise
-  EXPECT_TRUE(*result->coloring == legacy.coloring);
+  EXPECT_EQ(result->num_colors, reference.coloring.num_colors());
+  EXPECT_EQ(result->scores, reference.scores);  // bitwise
+  EXPECT_TRUE(*result->coloring == reference.coloring);
 }
 
 TEST(CompressorTest, SolveLpMatchesLegacyReduceAndSolve) {
@@ -387,11 +385,10 @@ TEST(CompressorTest, BudgetBelowPinCountServesInitialPartition) {
   // neither can the session — without taking the down-budget recompute
   // path or misreporting stats.
   FlowInstance instance = TestInstance(17);
-  FlowApproxOptions cold;
-  cold.rothko.max_colors = 1;
-  const FlowApproxResult legacy = ApproximateMaxFlow(
-      instance.graph, instance.source, instance.sink, cold);
-  EXPECT_EQ(legacy.num_colors, 3);
+  const testing_reference::FlowReference reference =
+      testing_reference::ReferenceMaxFlow(instance.graph, instance.source,
+                                          instance.sink, /*max_colors=*/1);
+  EXPECT_EQ(reference.coloring.num_colors(), 3);
 
   Compressor session(std::move(instance.graph));
   QueryOptions query;
@@ -399,7 +396,8 @@ TEST(CompressorTest, BudgetBelowPinCountServesInitialPartition) {
   const auto result = session.MaxFlow(instance.source, instance.sink, query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_colors, 3);
-  EXPECT_EQ(result->upper_bound, legacy.upper_bound);
+  EXPECT_EQ(result->upper_bound, reference.upper_bound);
+  EXPECT_TRUE(*result->coloring == reference.coloring);
   EXPECT_EQ(session.stats().coloring.recolorings, 0);
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "qsc/api/compressor.h"
 #include "qsc/centrality/brandes.h"
 #include "qsc/centrality/color_pivot.h"
 #include "qsc/centrality/path_sampling.h"
@@ -12,24 +14,33 @@
 namespace qsc {
 namespace {
 
+// One cold Centrality query: a fresh session over the caller's graph.
+CentralityQueryResult ApproximateCentrality(const Graph& g,
+                                            const QueryOptions& query) {
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  StatusOr<CentralityQueryResult> result = session.Centrality(query);
+  QSC_CHECK_OK(result);
+  return *std::move(result);
+}
+
 TEST(ColorPivotTest, DiscreteColoringIsExact) {
   Rng rng(1);
   const Graph g = ErdosRenyiGnm(30, 80, rng);
-  ColorPivotOptions options;
-  const auto approx = ApproximateBetweennessWithColoring(
-      g, Partition::Discrete(30), options);
+  const std::vector<double> scores = ColorPivotScores(
+      g, Partition::Discrete(30), /*pivots_per_color=*/1, /*seed=*/17);
   const auto exact = BetweennessExact(g);
   for (NodeId v = 0; v < 30; ++v) {
-    EXPECT_NEAR(approx.scores[v], exact[v], 1e-9);
+    EXPECT_NEAR(scores[v], exact[v], 1e-9);
   }
 }
 
 TEST(ColorPivotTest, HighRankCorrelationOnScaleFree) {
   Rng rng(2);
   const Graph g = BarabasiAlbert(500, 3, rng);
-  ColorPivotOptions options;
-  options.rothko.max_colors = 64;
-  const auto approx = ApproximateBetweenness(g, options);
+  QueryOptions options;
+  options.max_colors = 64;
+  const auto approx = ApproximateCentrality(g, options);
   const auto exact = BetweennessExact(g);
   EXPECT_GT(SpearmanCorrelation(approx.scores, exact), 0.85);
 }
@@ -40,10 +51,10 @@ TEST(ColorPivotTest, MoreColorsImproveCorrelation) {
   const auto exact = BetweennessExact(g);
   double rho_small = 0.0, rho_large = 0.0;
   for (ColorId k : {4, 128}) {
-    ColorPivotOptions options;
-    options.rothko.max_colors = k;
+    QueryOptions options;
+    options.max_colors = k;
     options.seed = 77;
-    const auto approx = ApproximateBetweenness(g, options);
+    const auto approx = ApproximateCentrality(g, options);
     const double rho = SpearmanCorrelation(approx.scores, exact);
     if (k == 4) {
       rho_small = rho;
@@ -58,23 +69,23 @@ TEST(ColorPivotTest, MoreColorsImproveCorrelation) {
 TEST(ColorPivotTest, TelemetryPopulated) {
   Rng rng(4);
   const Graph g = BarabasiAlbert(200, 2, rng);
-  ColorPivotOptions options;
-  options.rothko.max_colors = 16;
-  const auto approx = ApproximateBetweenness(g, options);
+  QueryOptions options;
+  options.max_colors = 16;
+  const auto approx = ApproximateCentrality(g, options);
   EXPECT_EQ(approx.num_colors, 16);
-  EXPECT_GE(approx.coloring_seconds, 0.0);
-  EXPECT_GE(approx.solve_seconds, 0.0);
-  EXPECT_EQ(approx.coloring.num_nodes(), 200);
+  EXPECT_GE(approx.telemetry.coloring_seconds, 0.0);
+  EXPECT_GE(approx.telemetry.solve_seconds, 0.0);
+  EXPECT_EQ(approx.coloring->num_nodes(), 200);
 }
 
 TEST(ColorPivotTest, MultiplePivotsPerColor) {
   Rng rng(5);
   const Graph g = BarabasiAlbert(300, 2, rng);
   const auto exact = BetweennessExact(g);
-  ColorPivotOptions options;
-  options.rothko.max_colors = 20;
+  QueryOptions options;
+  options.max_colors = 20;
   options.pivots_per_color = 4;
-  const auto approx = ApproximateBetweenness(g, options);
+  const auto approx = ApproximateCentrality(g, options);
   EXPECT_GT(SpearmanCorrelation(approx.scores, exact), 0.8);
 }
 
@@ -82,9 +93,9 @@ TEST(ColorPivotTest, OnePivotEstimateIsScaledDependency) {
   // With a single color, the estimate is n * delta_s for the sampled
   // pivot s — verify it matches one of the n possible dependency passes.
   const Graph g = CycleGraph(9);
-  ColorPivotOptions options;
-  options.rothko.max_colors = 1;
-  const auto approx = ApproximateBetweenness(g, options);
+  QueryOptions options;
+  options.max_colors = 1;
+  const auto approx = ApproximateCentrality(g, options);
   BrandesWorkspace ws(g);
   bool matched = false;
   for (NodeId s = 0; s < 9 && !matched; ++s) {

@@ -166,7 +166,7 @@ TEST(PipelineTest, SortsAndDeduplicatesBudgets) {
 
 TEST(SuitesTest, DatasetSuitesMatchTheBenchIndex) {
   // The bench experiment index (names + paper names) must stay stable;
-  // bench/workloads.h re-exports these.
+  // the bench binaries draw their datasets from these suites.
   const auto general = GeneralGraphSuite();
   ASSERT_EQ(general.size(), 3u);
   EXPECT_EQ(general[0].name, "karate");

@@ -1,7 +1,11 @@
-#include "qsc/flow/approx_flow.h"
+// The Theorem-6 max-flow approximation as served by qsc::Compressor:
+// each case runs one cold query on a fresh session.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "qsc/api/compressor.h"
 #include "qsc/coloring/q_error.h"
 #include "qsc/coloring/reduced_graph.h"
 #include "qsc/coloring/stable.h"
@@ -13,14 +17,24 @@
 namespace qsc {
 namespace {
 
+// One cold MaxFlow query: a fresh session over the caller's graph.
+FlowQueryResult ApproximateFlow(const Graph& g, NodeId source, NodeId sink,
+                                const QueryOptions& query) {
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  StatusOr<FlowQueryResult> result = session.MaxFlow(source, sink, query);
+  QSC_CHECK_OK(result);
+  return *std::move(result);
+}
+
 TEST(ApproxFlowTest, UpperBoundHolds) {
   Rng rng(1);
   const FlowInstance inst = GridFlowNetwork(10, 6, 10, 20, rng);
   const double exact = MaxFlowDinic(inst.graph, inst.source, inst.sink);
-  FlowApproxOptions options;
-  options.rothko.max_colors = 12;
-  const FlowApproxResult approx =
-      ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
+  QueryOptions options;
+  options.max_colors = 12;
+  const FlowQueryResult approx =
+      ApproximateFlow(inst.graph, inst.source, inst.sink, options);
   EXPECT_GE(approx.upper_bound, exact - 1e-6);
 }
 
@@ -28,11 +42,11 @@ TEST(ApproxFlowTest, LowerBoundHolds) {
   Rng rng(2);
   const FlowInstance inst = GridFlowNetwork(6, 4, 8, 10, rng);
   const double exact = MaxFlowDinic(inst.graph, inst.source, inst.sink);
-  FlowApproxOptions options;
-  options.rothko.max_colors = 10;
+  QueryOptions options;
+  options.max_colors = 10;
   options.compute_lower_bound = true;
-  const FlowApproxResult approx =
-      ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
+  const FlowQueryResult approx =
+      ApproximateFlow(inst.graph, inst.source, inst.sink, options);
   EXPECT_LE(approx.lower_bound, exact + 1e-4);
   EXPECT_LE(approx.lower_bound, approx.upper_bound + 1e-4);
 }
@@ -40,11 +54,11 @@ TEST(ApproxFlowTest, LowerBoundHolds) {
 TEST(ApproxFlowTest, TerminalsPinnedToSingletons) {
   Rng rng(3);
   const FlowInstance inst = GridFlowNetwork(8, 5, 10, 10, rng);
-  FlowApproxOptions options;
-  options.rothko.max_colors = 8;
-  const FlowApproxResult approx =
-      ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
-  const Partition& p = approx.coloring;
+  QueryOptions options;
+  options.max_colors = 8;
+  const FlowQueryResult approx =
+      ApproximateFlow(inst.graph, inst.source, inst.sink, options);
+  const Partition& p = *approx.coloring;
   EXPECT_EQ(p.ColorSize(p.ColorOf(inst.source)), 1);
   EXPECT_EQ(p.ColorSize(p.ColorOf(inst.sink)), 1);
   EXPECT_EQ(approx.num_colors, 8);
@@ -56,10 +70,10 @@ TEST(ApproxFlowTest, ExactWhenColoringIsDiscrete) {
   Rng rng(4);
   const FlowInstance inst = GridFlowNetwork(4, 3, 6, 8, rng);
   const double exact = MaxFlowDinic(inst.graph, inst.source, inst.sink);
-  FlowApproxOptions options;
-  options.rothko.max_colors = inst.graph.num_nodes();
-  const FlowApproxResult approx =
-      ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
+  QueryOptions options;
+  options.max_colors = inst.graph.num_nodes();
+  const FlowQueryResult approx =
+      ApproximateFlow(inst.graph, inst.source, inst.sink, options);
   EXPECT_NEAR(approx.upper_bound, exact, 1e-6);
 }
 
@@ -79,11 +93,11 @@ TEST(ApproxFlowTest, StableColoringBoundsCoincide) {
   const double exact = MaxFlowDinic(g, 8, 9);
   EXPECT_DOUBLE_EQ(exact, 3.0);
 
-  FlowApproxOptions options;
-  options.rothko.max_colors = 64;  // refine to stable (q = 0)
-  options.rothko.q_tolerance = 0.0;
+  QueryOptions options;
+  options.max_colors = 64;  // refine to stable (q = 0)
+  options.q_tolerance = 0.0;
   options.compute_lower_bound = true;
-  const FlowApproxResult approx = ApproximateMaxFlow(g, 8, 9, options);
+  const FlowQueryResult approx = ApproximateFlow(g, 8, 9, options);
   EXPECT_NEAR(approx.upper_bound, exact, 1e-5);
   EXPECT_NEAR(approx.lower_bound, exact, 1e-5);
 }
@@ -130,10 +144,10 @@ TEST(ApproxFlowTest, MoreColorsTightenUpperBound) {
   const double exact = MaxFlowDinic(inst.graph, inst.source, inst.sink);
   double prev_err = 1e18;
   for (ColorId k : {4, 16, 64}) {
-    FlowApproxOptions options;
-    options.rothko.max_colors = k;
-    const FlowApproxResult approx =
-        ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
+    QueryOptions options;
+    options.max_colors = k;
+    const FlowQueryResult approx =
+      ApproximateFlow(inst.graph, inst.source, inst.sink, options);
     const double err = approx.upper_bound / exact;
     EXPECT_GE(err, 1.0 - 1e-9);
     EXPECT_LE(err, prev_err * 1.25 + 1e-9) << "k=" << k;

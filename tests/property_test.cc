@@ -29,13 +29,15 @@ TEST_P(FlowPropertyTest, SolversAgreeAndBoundsHold) {
   EXPECT_NEAR(cut.value, ek, 1e-6);
 
   // Theorem-6 sandwich at a coarse budget.
-  FlowApproxOptions options;
-  options.rothko.max_colors = 12;
+  QueryOptions options;
+  options.max_colors = 12;
   options.compute_lower_bound = true;
-  const FlowApproxResult approx =
-      ApproximateMaxFlow(inst.graph, inst.source, inst.sink, options);
-  EXPECT_GE(approx.upper_bound, ek - 1e-6);
-  EXPECT_LE(approx.lower_bound, ek + 1e-4);
+  Compressor session(Graph{inst.graph});
+  const StatusOr<FlowQueryResult> approx =
+      session.MaxFlow(inst.source, inst.sink, options);
+  ASSERT_TRUE(approx.ok());
+  EXPECT_GE(approx->upper_bound, ek - 1e-6);
+  EXPECT_LE(approx->lower_bound, ek + 1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FlowPropertyTest,
@@ -140,11 +142,10 @@ TEST(CentralityPropertyTest, EstimateIsUnbiasedAtFullSampling) {
   RothkoOptions rothko;
   rothko.max_colors = 5;
   const Partition p = RothkoColoring(g, rothko);
-  ColorPivotOptions options;
-  options.pivots_per_color = 40;  // clipped to the color size
-  const auto approx = ApproximateBetweennessWithColoring(g, p, options);
+  const std::vector<double> scores = ColorPivotScores(
+      g, p, /*pivots_per_color=*/40, /*seed=*/17);  // clipped to color size
   for (NodeId v = 0; v < 40; ++v) {
-    EXPECT_NEAR(approx.scores[v], exact[v], 1e-8);
+    EXPECT_NEAR(scores[v], exact[v], 1e-8);
   }
 }
 
