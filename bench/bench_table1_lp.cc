@@ -9,10 +9,9 @@
 
 #include <cstdio>
 
+#include "qsc/api/compressor.h"
 #include "qsc/eval/suites.h"
 #include "qsc/lp/interior_point.h"
-#include "qsc/lp/reduce.h"
-#include "qsc/lp/simplex.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
 #include "qsc/util/timer.h"
@@ -24,14 +23,17 @@ constexpr double kTargets[] = {3.0, 2.0, 1.5};
 std::vector<double> OursTimes(const qsc::LpProblem& lp, double exact_obj) {
   std::vector<double> times(std::size(kTargets), -1.0);
   double cumulative = 0.0;
-  // Anytime co-routine: the refiner keeps its coloring between budgets.
-  qsc::LpReduceOptions options;
-  qsc::LpColoringRefiner refiner(lp, options);
+  // Anytime co-routine: the session keeps the LP's coloring between
+  // budgets, so each checkpoint continues the last one's refinement.
+  qsc::Compressor session;
+  qsc::QueryOptions query;
   for (qsc::ColorId colors : {8, 15, 25, 40, 60, 100, 150}) {
+    query.max_colors = colors;
     qsc::WallTimer timer;
-    const qsc::ReducedLp reduced = refiner.ReduceTo(colors);
-    const qsc::LpResult red = qsc::SolveSimplex(reduced.lp);
+    const qsc::StatusOr<qsc::LpQueryResult> result = session.SolveLp(lp, query);
     cumulative += timer.ElapsedSeconds();
+    QSC_CHECK_OK(result);
+    const qsc::LpResult& red = result->solution;
     if (red.status != qsc::LpStatus::kOptimal) continue;
     const double rel = qsc::RelativeError(exact_obj, red.objective);
     for (size_t t = 0; t < std::size(kTargets); ++t) {

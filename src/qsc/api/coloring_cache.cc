@@ -28,10 +28,13 @@ ColoringParams ToColoringParams(const ColoringSpec& spec, ThreadPool* pool) {
 // validates before a spec reaches the cache).
 std::unique_ptr<dynamic::IncrementalRecolorer> MakeBackend(
     const GraphView& view, std::shared_ptr<const void> keepalive,
-    const ColoringSpec& spec, ThreadPool* pool) {
+    const ColoringSpec& spec, const std::optional<Partition>& base,
+    ThreadPool* pool) {
   return std::make_unique<dynamic::IncrementalRecolorer>(
       view, std::move(keepalive), api_internal::BackendOrDefault(spec.backend),
-      InitialPartition(spec, view.num_nodes()), ToColoringParams(spec, pool));
+      base.has_value() ? InitialPartition(spec, *base)
+                       : InitialPartition(spec, view.num_nodes()),
+      ToColoringParams(spec, pool));
 }
 
 }  // namespace
@@ -61,15 +64,24 @@ size_t ColoringSpecHash::operator()(const ColoringSpec& spec) const {
   return static_cast<size_t>(h);
 }
 
-Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
-  std::vector<int32_t> labels(num_nodes,
-                              static_cast<int32_t>(spec.pinned.size()));
-  for (size_t i = 0; i < spec.pinned.size(); ++i) {
+Partition InitialPartition(const ColoringSpec& spec, const Partition& base) {
+  // Pins take labels 0..k-1 and base color c becomes k + c, so a node
+  // keeps its base color unless it is pinned.
+  const int32_t num_pins = static_cast<int32_t>(spec.pinned.size());
+  std::vector<int32_t> labels(base.num_nodes());
+  for (NodeId v = 0; v < base.num_nodes(); ++v) {
+    labels[v] = num_pins + base.ColorOf(v);
+  }
+  for (int32_t i = 0; i < num_pins; ++i) {
     const NodeId pin = spec.pinned[i];
-    QSC_CHECK(pin >= 0 && pin < num_nodes);
-    labels[pin] = static_cast<int32_t>(i);
+    QSC_CHECK(pin >= 0 && pin < base.num_nodes());
+    labels[pin] = i;
   }
   return Partition::FromColorIds(labels);
+}
+
+Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
+  return InitialPartition(spec, Partition::Trivial(num_nodes));
 }
 
 struct ColoringCache::Entry {
@@ -136,10 +148,15 @@ struct ColoringCache::Entry {
 
 ColoringCache::ColoringCache(std::shared_ptr<const Graph> graph,
                              ThreadPool* pool,
-                             const ColoringCacheOptions& options)
-    : graph_(std::move(graph)), pool_(pool), options_(options) {
+                             const ColoringCacheOptions& options,
+                             std::optional<Partition> base)
+    : graph_(std::move(graph)),
+      pool_(pool),
+      options_(options),
+      base_(std::move(base)) {
   QSC_CHECK(graph_ != nullptr);
   QSC_CHECK_GE(options_.byte_budget, 0);
+  QSC_CHECK(!base_.has_value() || base_->num_nodes() == graph_->num_nodes());
   view_ = GraphView(*graph_);
   keepalive_ = graph_;
 }
@@ -236,7 +253,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     if (entry->refiner == nullptr) {
-      entry->refiner = MakeBackend(view, keepalive, spec, pool_);
+      entry->refiner = MakeBackend(view, keepalive, spec, base_, pool_);
       entry->initial_colors = entry->refiner->partition().num_colors();
     }
 
@@ -256,7 +273,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         handle.max_error = served->second.second;
       } else {
         std::unique_ptr<dynamic::IncrementalRecolorer> fresh =
-            MakeBackend(view, keepalive, spec, pool_);
+            MakeBackend(view, keepalive, spec, base_, pool_);
         const ColorId initial = fresh->partition().num_colors();
         while (fresh->partition().num_colors() < budget &&
                fresh->Step(budget)) {

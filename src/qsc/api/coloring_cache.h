@@ -49,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -106,10 +107,15 @@ struct ColoringSpecHash {
   size_t operator()(const ColoringSpec& spec) const;
 };
 
-// The initial partition a spec induces: each pinned node in its own
-// singleton color, the rest in one shared color (color ids assigned in
-// first-appearance node order — see ColoringSpec::pinned). Matches
-// Partition::Trivial for an empty pin set and Compressor::MaxFlow's
+// The initial partition a spec induces on a base partition: each pinned
+// node in its own singleton color, every other node keeping its base color
+// (color ids assigned in first-appearance node order — see
+// ColoringSpec::pinned). Without pins it equals `base` when base's ids are
+// already in first-appearance order (as FromColorIds produces).
+Partition InitialPartition(const ColoringSpec& spec, const Partition& base);
+
+// The same over a one-color base: the pins, the rest in one shared color.
+// Matches Partition::Trivial for an empty pin set and Compressor::MaxFlow's
 // terminal pinning for {s, t}.
 Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes);
 
@@ -193,9 +199,13 @@ class ColoringCache {
   // owned, may be null) accelerates each refiner's split scoring without
   // changing any partition — refinement is bit-identical for any pool
   // size (RothkoOptions::pool). `options` configures the byte budget.
+  // `base`, when set, is the partition every spec's pins refine (an LP's
+  // matrix graph starts from its four row/objective/column/rhs colors);
+  // unset means one shared color.
   explicit ColoringCache(std::shared_ptr<const Graph> graph,
                          ThreadPool* pool = nullptr,
-                         const ColoringCacheOptions& options = {});
+                         const ColoringCacheOptions& options = {},
+                         std::optional<Partition> base = std::nullopt);
 
   // View-backed construction (the mmap serving path): refiners run over
   // `view` without an owning Graph ever materializing. `keepalive` (may be
@@ -217,7 +227,8 @@ class ColoringCache {
   // unregistered or non-canonical spec.backend) abort; qsc::Compressor
   // validates at the API boundary. The result is bit-identical to a fresh
   // run of the spec's backend from InitialPartition(spec, n) stepped to
-  // `budget` colors — for the default backend, to
+  // `budget` colors (InitialPartition(spec, base) on a cache with a base
+  // partition) — for the default backend, to
   //   RothkoColoring(graph, InitialPartition(spec, n),
   //                  {budget, spec.q_tolerance, spec.alpha, spec.beta,
   //                   spec.split_mean})
@@ -285,6 +296,7 @@ class ColoringCache {
   std::shared_ptr<const void> keepalive_;
   ThreadPool* pool_;
   ColoringCacheOptions options_;
+  std::optional<Partition> base_;  // immutable; edits keep the node count
 
   mutable std::shared_mutex mutex_;  // guards entries_ and the byte
                                      // accounting (total_bytes_,

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "qsc/api/hashing.h"
@@ -100,10 +99,10 @@ ColoringSpec SpecFor(const QueryOptions& options, double default_alpha,
   return spec;
 }
 
-// Content fingerprint of an LP: SolveLp keys its matrix-coloring cache by
-// value, so two calls with equal problems share one refiner even if they
+// Content fingerprint of an LP: SolveLp keys its matrix-coloring caches by
+// value, so two calls with equal problems share one cache even if they
 // pass different objects. Not collision-resistant — hits are confirmed by
-// LpEquals before a cached refiner is reused.
+// LpEquals before a cached LP is reused.
 uint64_t FingerprintLp(const LpProblem& lp) {
   using api_internal::HashMixDouble;
   using api_internal::HashMixWord;
@@ -135,19 +134,25 @@ bool LpEquals(const LpProblem& a, const LpProblem& b) {
   return true;
 }
 
+ColoringCacheOptions CacheOptionsFor(const CompressorOptions& options) {
+  ColoringCacheOptions cache_options;
+  cache_options.byte_budget = options.coloring_cache_byte_budget;
+  return cache_options;
+}
+
 }  // namespace
 
 class Compressor::Impl {
  public:
   Impl(std::shared_ptr<const Graph> graph, ThreadPool* pool,
        const CompressorOptions& options)
-      : graph_(std::move(graph)), pool_(pool) {
+      : graph_(std::move(graph)),
+        pool_(pool),
+        cache_options_(CacheOptionsFor(options)) {
     if (graph_ != nullptr) {
       view_ = GraphView(*graph_);
       if (graph_->num_nodes() > 0) {
-        ColoringCacheOptions cache_options;
-        cache_options.byte_budget = options.coloring_cache_byte_budget;
-        cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options);
+        cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options_);
       }
     }
   }
@@ -157,14 +162,14 @@ class Compressor::Impl {
   // ApplyEdits materializes one.
   Impl(std::shared_ptr<const MappedGraph> mapped, ThreadPool* pool,
        const CompressorOptions& options)
-      : mapped_(std::move(mapped)), pool_(pool) {
+      : mapped_(std::move(mapped)),
+        pool_(pool),
+        cache_options_(CacheOptionsFor(options)) {
     QSC_CHECK(mapped_ != nullptr);
     view_ = GraphView::Of(*mapped_);
     if (view_.num_nodes() > 0) {
-      ColoringCacheOptions cache_options;
-      cache_options.byte_budget = options.coloring_cache_byte_budget;
       cache_ = std::make_unique<ColoringCache>(view_, mapped_, pool_,
-                                               cache_options);
+                                               cache_options_);
     }
   }
 
@@ -280,91 +285,42 @@ class Compressor::Impl {
     StatusOr<std::string> backend = ValidateBackend(options.backend);
     if (!backend.ok()) return backend.status();
 
-    LpReduceOptions reduce_options;
-    reduce_options.max_colors = options.max_colors;
-    reduce_options.q_tolerance = options.q_tolerance;
-    reduce_options.alpha = options.alpha.value_or(reduce_options.alpha);
-    reduce_options.beta = options.beta.value_or(reduce_options.beta);
-    reduce_options.split_mean = options.split_mean;
-    reduce_options.variant = options.lp_variant;
-    reduce_options.backend = *std::move(backend);
-    reduce_options.pool = pool_;
-
     WallTimer timer;
-    const LpSessionKey key{FingerprintLp(lp), reduce_options.alpha,
-                           reduce_options.beta, reduce_options.q_tolerance,
-                           static_cast<int>(reduce_options.split_mean),
-                           static_cast<int>(reduce_options.variant),
-                           reduce_options.backend};
-    // Find-or-insert under the map lock; the expensive matrix coloring
-    // happens later under the per-session mutex, so distinct LPs reduce
-    // concurrently. The fingerprint is not collision-resistant, so a key
-    // maps to a bucket of sessions and a hit requires content equality.
-    LpSession* session = nullptr;
-    bool found = false;
+    LpCache& entry = FindOrInsertLp(lp);
+    ColoringCache* cache = nullptr;
     {
-      std::lock_guard<std::mutex> lock(lp_mutex_);
-      std::vector<std::unique_ptr<LpSession>>& bucket = lp_entries_[key];
-      for (const std::unique_ptr<LpSession>& candidate : bucket) {
-        if (LpEquals(candidate->lp, lp)) {
-          session = candidate.get();
-          found = true;
-          break;
-        }
+      // Built lazily under the entry, outside lp_mutex_, so distinct LPs
+      // build and refine concurrently.
+      std::lock_guard<std::mutex> lock(entry.mutex);
+      if (entry.cache == nullptr) {
+        LpMatrixGraph matrix = BuildLpMatrixGraph(entry.lp);
+        entry.cache = std::make_unique<ColoringCache>(
+            std::make_shared<const Graph>(std::move(matrix.graph)), pool_,
+            cache_options_, std::move(matrix.initial));
       }
-      if (!found) {
-        auto entry = std::make_unique<LpSession>();
-        entry->lp = lp;
-        bucket.push_back(std::move(entry));
-        session = bucket.back().get();
-      }
+      cache = entry.cache.get();
     }
+    const ColoringCache::Handle handle = cache->Refine(
+        SpecFor(options, /*default_alpha=*/1.0, /*default_beta=*/0.0, {},
+                *std::move(backend)),
+        options.max_colors);
 
-    // The request's single stats bucket, decided under the session lock
-    // and counted once with its lookup (as in ColoringCache::Refine): the
-    // request that inserted the session is a miss even when a racing
-    // higher-budget request refined it past this budget first.
-    int64_t CompressorStats::* outcome =
-        found ? &CompressorStats::lp_hits : &CompressorStats::lp_misses;
     LpQueryResult result;
-    {
-      std::lock_guard<std::mutex> session_lock(session->mutex);
-      if (session->refiner == nullptr) {
-        session->refiner =
-            std::make_unique<LpColoringRefiner>(session->lp, reduce_options);
-      }
-      if (session->refiner->num_colors() > options.max_colors) {
-        // The cached matrix coloring has refined past this budget and
-        // splits are not invertible: recompute this budget from scratch
-        // once and memoize (mirrors ColoringCache's down-budget path).
-        const auto served = session->down_served.find(options.max_colors);
-        if (served != session->down_served.end()) {
-          result.reduced = served->second;
-        } else {
-          if (found) outcome = &CompressorStats::lp_recolorings;
-          LpColoringRefiner fresh(session->lp, reduce_options);
-          result.reduced = fresh.ReduceTo(options.max_colors);
-          session->down_served.emplace(options.max_colors, result.reduced);
-        }
-      } else {
-        result.reduced = session->refiner->ReduceTo(options.max_colors);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(lp_mutex_);
-      ++stats_.lp_lookups;
-      ++(stats_.*outcome);
-    }
-    result.telemetry.coloring_cache_hit = outcome == &CompressorStats::lp_hits;
+    result.telemetry = TelemetryFor(handle);
+    // Includes finding this LP's cache, which the handle does not see.
     result.telemetry.coloring_seconds = timer.ElapsedSeconds();
+    result.telemetry.graph_version = graph_version_;
 
     timer.Reset();
+    result.reduced =
+        ExtractReducedLp(entry.lp, *handle.partition, options.lp_variant);
+    result.reduced.max_q = handle.max_error;
+    result.reduced.coloring_seconds = result.telemetry.coloring_seconds;
     result.solution = SolveSimplex(result.reduced.lp);
     if (result.solution.status == LpStatus::kOptimal) {
       result.lifted_x = LiftSolution(result.reduced, result.solution.x);
     }
     result.telemetry.solve_seconds = timer.ElapsedSeconds();
-    result.telemetry.graph_version = graph_version_;
     return result;
   }
 
@@ -452,38 +408,50 @@ class Compressor::Impl {
 
   CompressorStats stats() const {
     CompressorStats snapshot;
-    {
-      std::lock_guard<std::mutex> lock(lp_mutex_);
-      snapshot = stats_;
-    }
     snapshot.coloring = cache_ != nullptr ? cache_->stats() : CacheStats{};
+    // Lock order: lp_mutex_, then an entry's mutex (SolveLp never holds
+    // both).
+    std::lock_guard<std::mutex> lock(lp_mutex_);
+    for (const auto& [fingerprint, bucket] : lp_entries_) {
+      for (const std::unique_ptr<LpCache>& entry : bucket) {
+        std::lock_guard<std::mutex> entry_lock(entry->mutex);
+        if (entry->cache == nullptr) continue;
+        const CacheStats lp = entry->cache->stats();
+        snapshot.lp_lookups += lp.lookups;
+        snapshot.lp_hits += lp.hits;
+        snapshot.lp_misses += lp.misses;
+        snapshot.lp_recolorings += lp.recolorings;
+      }
+    }
     return snapshot;
   }
 
  private:
-  struct LpSessionKey {
-    uint64_t fingerprint;
-    double alpha, beta, q_tolerance;
-    int split_mean, variant;
-    std::string backend;  // canonical (ValidateBackend ran first)
+  // One distinct LP (by content): an owned copy and a ColoringCache over
+  // its extended-matrix graph, so every SolveLp on it resumes one anytime
+  // refinement per spec. The reduction variant only shapes the extraction
+  // and is not part of the key.
+  struct LpCache {
+    explicit LpCache(const LpProblem& problem) : lp(problem) {}
+    const LpProblem lp;
+    std::mutex mutex;  // guards the lazy construction of `cache`
+    std::unique_ptr<ColoringCache> cache;
+  };
 
-    bool operator<(const LpSessionKey& o) const {
-      return std::tie(fingerprint, alpha, beta, q_tolerance, split_mean,
-                      variant, backend) <
-             std::tie(o.fingerprint, o.alpha, o.beta, o.q_tolerance,
-                      o.split_mean, o.variant, o.backend);
+  // Finds the LP's entry or inserts an empty one. The fingerprint is not
+  // collision-resistant, so it maps to a bucket and a hit requires content
+  // equality. Entries are never removed; their colorings obey the byte
+  // budget inside each cache.
+  LpCache& FindOrInsertLp(const LpProblem& lp) {
+    const uint64_t fingerprint = FingerprintLp(lp);  // outside the lock
+    std::lock_guard<std::mutex> lock(lp_mutex_);
+    std::vector<std::unique_ptr<LpCache>>& bucket = lp_entries_[fingerprint];
+    for (const std::unique_ptr<LpCache>& candidate : bucket) {
+      if (LpEquals(candidate->lp, lp)) return *candidate;
     }
-  };
-
-  struct LpSession {
-    // Serializes refinement of this LP; distinct LPs reduce concurrently.
-    std::mutex mutex;
-    LpProblem lp;  // owned copy; the refiner holds a reference into it
-    // Built lazily under `mutex`, so map insertion stays cheap.
-    std::unique_ptr<LpColoringRefiner> refiner;
-    // Down-budget reductions already recomputed, keyed by budget.
-    std::map<ColorId, ReducedLp> down_served;
-  };
+    bucket.push_back(std::make_unique<LpCache>(lp));
+    return *bucket.back();
+  }
 
   static QueryTelemetry TelemetryFor(const ColoringCache::Handle& handle) {
     QueryTelemetry t;
@@ -595,11 +563,13 @@ class Compressor::Impl {
   ThreadPool* pool_;
   std::unique_ptr<ColoringCache> cache_;
 
-  // Guards lp_entries_ (map and buckets, not the sessions) and the lp_*
-  // counters of stats_ (the coloring counters live in the cache).
+  // The session's cache knobs; every LP's cache gets them too, so the
+  // byte budget applies per cache.
+  ColoringCacheOptions cache_options_;
+
+  // Guards lp_entries_ (map and buckets, not the entries).
   mutable std::mutex lp_mutex_;
-  std::map<LpSessionKey, std::vector<std::unique_ptr<LpSession>>> lp_entries_;
-  CompressorStats stats_;
+  std::map<uint64_t, std::vector<std::unique_ptr<LpCache>>> lp_entries_;
 };
 
 Compressor::Compressor()

@@ -11,9 +11,10 @@
 // is a fresh session: construct, query once, destroy.
 //
 // Thread-safety (docs/API.md "Concurrency contract"): all queries and
-// stats() may be called concurrently from any number of threads. The
-// coloring cache serializes per ColoringSpec (distinct specs refine in
-// parallel), the SolveLp cache serializes per cached LP, and every query
+// stats() may be called concurrently from any number of threads. Each
+// coloring cache — the session graph's and one per distinct SolveLp LP —
+// serializes per ColoringSpec (distinct specs and LPs refine in
+// parallel), and every query
 // result is bit-identical to the same query issued against a
 // single-threaded session — concurrency changes wall-clock time and the
 // hit/recoloring *attribution* of racing queries, never a result.
@@ -163,13 +164,15 @@ struct CentralityQueryResult {
 
 // Session-level cache statistics: the graph-coloring cache (including the
 // dynamic repairs/fallbacks/edits_applied telemetry) plus the SolveLp
-// matrix-coloring cache.
+// matrix-coloring caches. Each lp_* counter is the sum of the matching
+// CacheStats counter over the session's LP caches (one per distinct LP),
+// so lp_hits + lp_misses + lp_recolorings == lp_lookups.
 struct CompressorStats {
   CacheStats coloring;   // ColoringCache counters (hits/misses/splits,
                          // edit_batches/edits_applied/repairs/fallbacks)
   int64_t lp_lookups = 0;
-  int64_t lp_hits = 0;   // SolveLp reused a cached matrix-graph refiner
-  int64_t lp_misses = 0;
+  int64_t lp_hits = 0;   // SolveLp reused a cached matrix coloring
+  int64_t lp_misses = 0; // first query of an LP spec, or after eviction
   int64_t lp_recolorings = 0;  // down-budget SolveLp recomputes
 };
 
@@ -197,8 +200,9 @@ class ThreadPool;
 // never results: a budgeted session answers every query bit-identically to
 // an unbudgeted one (evicted colorings recompute deterministically).
 struct CompressorOptions {
-  // Byte budget for the session's coloring cache (live refiners plus
-  // served partition snapshots); 0 = unlimited. See
+  // Byte budget per coloring cache (live refiners plus served partition
+  // snapshots); 0 = unlimited. It applies to each cache separately: one
+  // for the session graph and one for each distinct SolveLp LP. See
   // ColoringCacheOptions::byte_budget for the eviction contract.
   int64_t coloring_cache_byte_budget = 0;
 };
@@ -273,9 +277,12 @@ class Compressor {
       const QueryOptions& options = {});
 
   // LP reduction (paper Sec 4.1) + reduced simplex solve + lift. Colors
-  // the LP's extended-matrix bipartite graph, not the session graph;
-  // repeated SolveLp calls on the same LP (by content) reuse a cached
-  // matrix-graph refiner across budgets. Requires max_colors >= 4.
+  // the LP's extended-matrix bipartite graph, not the session graph:
+  // each distinct LP (by content) gets its own ColoringCache over that
+  // graph, starting from the {rows} {objective} {columns} {rhs} colors,
+  // so repeated SolveLp calls resume one refinement across budgets and
+  // both reduction variants. Every result equals a cold ReduceLp +
+  // SolveSimplex at the same options. Requires max_colors >= 4.
   // Defaults: alpha = 1, beta = 0.
   StatusOr<LpQueryResult> SolveLp(const LpProblem& lp,
                                   const QueryOptions& options = {});
@@ -297,8 +304,8 @@ class Compressor {
   // Safe to call concurrently with queries (it takes the session writer
   // lock); concurrent ApplyEdits calls serialize. Rejects an empty batch
   // and, on an LP-only or empty-graph session, FailedPrecondition.
-  // SolveLp's matrix-coloring cache keys on LP content, not the session
-  // graph, so it is unaffected by edits.
+  // SolveLp's matrix-coloring caches key on LP content, not the session
+  // graph, so they are unaffected by edits.
   StatusOr<EditApplyResult> ApplyEdits(const std::vector<dynamic::EditOp>& edits,
                                        const EditApplyOptions& options = {});
 

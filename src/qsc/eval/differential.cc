@@ -271,18 +271,27 @@ DifferentialReport DifferentialRunner::CheckLp(
                      ipm.objective));
   }
 
-  // Direct LpColoringRefiner construction aborts on an unresolvable
-  // backend, so resolve it here and report instead.
+  // Report an unresolvable backend instead of letting the session
+  // reject every query.
   std::string backend_name;
   if (!ResolveBackendName(options_.backend, &backend_name, check)) {
     return report;
   }
-  LpReduceOptions reduce_options;
-  reduce_options.split_mean = options_.split_mean;
-  reduce_options.backend = backend_name;
-  LpColoringRefiner refiner(lp, reduce_options);
+  // The reductions run through an LP-only Compressor session, so the
+  // ascending sweep resumes one cached matrix coloring.
+  Compressor session;
+  QueryOptions query;
+  query.split_mean = options_.split_mean;
+  query.backend = backend_name;
+  const auto solve = [&](ColorId budget) {
+    query.max_colors = std::max<ColorId>(budget, 4);
+    StatusOr<LpQueryResult> result = session.SolveLp(lp, query);
+    QSC_CHECK_OK(result);  // the LP and the backend are valid
+    return std::move(result).value();
+  };
   for (const ColorId budget : budgets) {
-    const ReducedLp reduced = refiner.ReduceTo(std::max<ColorId>(budget, 4));
+    const LpQueryResult result = solve(budget);
+    const ReducedLp& reduced = result.reduced;
     // Note: max_q is NOT asserted monotone across capped budgets — a color
     // cap can truncate a monotone refinement step mid-recovery, so only
     // the uncapped Step() contract (CheckColoringAnytime) is guaranteed.
@@ -291,15 +300,14 @@ DifferentialReport DifferentialRunner::CheckLp(
                  Fmt("matrix q-error %.12g at budget %.0f", reduced.max_q,
                      static_cast<double>(budget)));
 
-    const LpResult red = SolveSimplex(reduced.lp);
+    const LpResult& red = result.solution;
     check.Expect(red.status == LpStatus::kOptimal, "lp/reduced-solvable",
                  "reduced LP did not reach optimality");
     if (red.status != LpStatus::kOptimal) continue;
 
     // LiftSolution reproduces the reduced objective in the original
     // objective exactly (both reduction variants).
-    const std::vector<double> lifted = LiftSolution(reduced, red.x);
-    const double lifted_obj = Objective(lp, lifted);
+    const double lifted_obj = Objective(lp, result.lifted_x);
     check.Expect(std::abs(lifted_obj - red.objective) <= EqTol(red.objective),
                  "lp/lift-objective-roundtrip",
                  Fmt("lifted objective %.12g vs reduced %.12g", lifted_obj,
@@ -320,23 +328,22 @@ DifferentialReport DifferentialRunner::CheckLp(
   // the matrix-graph coloring stable (q = 0), and the reduced LP must then
   // reproduce the exact optimum (Theorem 1 — the direction the paper
   // guarantees).
-  {
-    const ColorId full = static_cast<ColorId>(lp.num_rows + lp.num_cols + 2);
-    const ReducedLp reduced = refiner.ReduceTo(full);
-    check.Expect(reduced.max_q <= 1e-9, "lp/full-refinement-stable",
-                 Fmt("max_q %.12g at the full budget %.0f", reduced.max_q,
-                     static_cast<double>(full)));
-    if (simplex.status == LpStatus::kOptimal) {
-      const LpResult red = SolveSimplex(reduced.lp);
-      check.Expect(red.status == LpStatus::kOptimal, "lp/reduced-solvable",
-                   "fully refined LP did not reach optimality");
-      if (red.status == LpStatus::kOptimal) {
-        check.Expect(std::abs(red.objective - simplex.objective) <=
-                         1e-6 * std::max(1.0, std::abs(simplex.objective)),
-                     "lp/full-refinement-exact",
-                     Fmt("full refinement got %.12g, exact %.12g",
-                         red.objective, simplex.objective));
-      }
+  const ColorId full_budget =
+      static_cast<ColorId>(lp.num_rows + lp.num_cols + 2);
+  const LpQueryResult full = solve(full_budget);
+  check.Expect(full.reduced.max_q <= 1e-9, "lp/full-refinement-stable",
+               Fmt("max_q %.12g at the full budget %.0f", full.reduced.max_q,
+                   static_cast<double>(full_budget)));
+  if (simplex.status == LpStatus::kOptimal) {
+    const LpResult& red = full.solution;
+    check.Expect(red.status == LpStatus::kOptimal, "lp/reduced-solvable",
+                 "fully refined LP did not reach optimality");
+    if (red.status == LpStatus::kOptimal) {
+      check.Expect(std::abs(red.objective - simplex.objective) <=
+                       1e-6 * std::max(1.0, std::abs(simplex.objective)),
+                   "lp/full-refinement-exact",
+                   Fmt("full refinement got %.12g, exact %.12g",
+                       red.objective, simplex.objective));
     }
   }
 

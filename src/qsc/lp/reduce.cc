@@ -1,6 +1,7 @@
 #include "qsc/lp/reduce.h"
 
 #include <cmath>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,66 +10,49 @@
 #include "qsc/util/timer.h"
 
 namespace qsc {
-namespace {
 
-// Shared construction of the extended-matrix bipartite graph and the
-// pinned initial partition (see header).
-struct MatrixGraph {
-  Graph graph;
-  Partition initial;
-  NodeId obj_row;
-  NodeId col_base;
-  NodeId rhs_col;
-};
-
-MatrixGraph BuildMatrixGraph(const LpProblem& lp) {
+LpMatrixGraph BuildLpMatrixGraph(const LpProblem& lp) {
   const int32_t m = lp.num_rows;
   const int32_t n = lp.num_cols;
-  MatrixGraph out;
-  out.obj_row = m;
-  out.col_base = m + 1;
-  out.rhs_col = m + 1 + n;
+  const NodeId obj_row = m;
+  const NodeId col_base = m + 1;
+  const NodeId rhs_col = m + 1 + n;
   std::vector<EdgeTriple> arcs;
   arcs.reserve(lp.entries.size() + m + n);
   for (const LpEntry& e : lp.entries) {
-    arcs.push_back({e.row, out.col_base + e.col, e.value});
+    arcs.push_back({e.row, col_base + e.col, e.value});
   }
   for (int32_t i = 0; i < m; ++i) {
-    if (lp.b[i] != 0.0) arcs.push_back({i, out.rhs_col, lp.b[i]});
+    if (lp.b[i] != 0.0) arcs.push_back({i, rhs_col, lp.b[i]});
   }
   for (int32_t j = 0; j < n; ++j) {
-    if (lp.c[j] != 0.0) {
-      arcs.push_back({out.obj_row, out.col_base + j, lp.c[j]});
-    }
+    if (lp.c[j] != 0.0) arcs.push_back({obj_row, col_base + j, lp.c[j]});
   }
-  out.graph = Graph::FromEdges(out.rhs_col + 1, arcs, /*undirected=*/false);
+  LpMatrixGraph out;
+  out.graph = Graph::FromEdges(rhs_col + 1, arcs, /*undirected=*/false);
 
   // Initial colors: {rows}, {objective row}, {columns}, {rhs column}.
-  std::vector<int32_t> labels(out.rhs_col + 1);
+  std::vector<int32_t> labels(rhs_col + 1);
   for (int32_t i = 0; i < m; ++i) labels[i] = 0;
-  labels[out.obj_row] = 1;
-  for (int32_t j = 0; j < n; ++j) labels[out.col_base + j] = 2;
-  labels[out.rhs_col] = 3;
+  labels[obj_row] = 1;
+  for (int32_t j = 0; j < n; ++j) labels[col_base + j] = 2;
+  labels[rhs_col] = 3;
   out.initial = Partition::FromColorIds(labels);
   return out;
 }
 
-// Extracts the reduced LP of Eq. (6) (or the Grohe variant) from a
-// coloring of the matrix graph.
-ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
-                           const Partition& p, LpReduction variant,
-                           double max_q, double coloring_seconds) {
+ReducedLp ExtractReducedLp(const LpProblem& lp, const Partition& p,
+                           LpReduction variant) {
   const int32_t m = lp.num_rows;
   const int32_t n = lp.num_cols;
+  const NodeId col_base = m + 1;
   ReducedLp out;
   out.variant = variant;
-  out.max_q = max_q;
-  out.coloring_seconds = coloring_seconds;
 
   // Densify color ids separately for rows and columns, excluding the
   // pinned objective/rhs singletons.
-  const ColorId obj_color = p.ColorOf(mg.obj_row);
-  const ColorId rhs_color = p.ColorOf(mg.rhs_col);
+  const ColorId obj_color = p.ColorOf(m);
+  const ColorId rhs_color = p.ColorOf(m + 1 + n);
   std::unordered_map<ColorId, int32_t> row_id, col_id;
   out.row_color.resize(m);
   out.col_color.resize(n);
@@ -81,7 +65,7 @@ ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
     out.row_color[i] = it->second;
   }
   for (int32_t j = 0; j < n; ++j) {
-    const ColorId c = p.ColorOf(mg.col_base + j);
+    const ColorId c = p.ColorOf(col_base + j);
     QSC_CHECK_NE(c, obj_color);
     QSC_CHECK_NE(c, rhs_color);
     auto [it, inserted] =
@@ -138,63 +122,25 @@ ReducedLp ExtractReducedLp(const LpProblem& lp, const MatrixGraph& mg,
   return out;
 }
 
-}  // namespace
-
-class LpColoringRefiner::Impl {
- public:
-  Impl(const LpProblem& lp, const LpReduceOptions& options)
-      : lp_(&lp),
-        options_(options),
-        matrix_graph_(BuildMatrixGraph(lp)),
-        // CanonicalBackendName aborts on malformed names and Create on
-        // unregistered ones; Compressor::SolveLp validates at the API
-        // boundary before constructing a refiner.
-        refiner_(ColoringBackendRegistry::Global().Create(
-            CanonicalBackendName(options.backend).value(),
-            matrix_graph_.graph, matrix_graph_.initial,
-            static_cast<const ColoringParams&>(options))) {}
-
-  ReducedLp ReduceTo(ColorId max_colors) {
-    QSC_CHECK_GE(max_colors, 4);
-    WallTimer timer;
-    while (refiner_->partition().num_colors() < max_colors) {
-      if (!refiner_->Step(max_colors)) break;
-    }
-    coloring_seconds_ += timer.ElapsedSeconds();
-    return ExtractReducedLp(*lp_, matrix_graph_, refiner_->partition(),
-                            options_.variant, refiner_->CurrentMaxError(),
-                            coloring_seconds_);
-  }
-
-  ColorId num_colors() const { return refiner_->partition().num_colors(); }
-
- private:
-  const LpProblem* lp_;
-  LpReduceOptions options_;
-  MatrixGraph matrix_graph_;
-  std::unique_ptr<ColoringBackend> refiner_;
-  double coloring_seconds_ = 0.0;
-};
-
-LpColoringRefiner::LpColoringRefiner(const LpProblem& lp,
-                                     const LpReduceOptions& options)
-    : impl_(new Impl(lp, options)) {
-  QSC_CHECK_OK(ValidateLp(lp));
-}
-
-LpColoringRefiner::~LpColoringRefiner() = default;
-
-ReducedLp LpColoringRefiner::ReduceTo(ColorId max_colors) {
-  return impl_->ReduceTo(max_colors);
-}
-
-ColorId LpColoringRefiner::num_colors() const { return impl_->num_colors(); }
-
 ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options) {
   QSC_CHECK_OK(ValidateLp(lp));
   QSC_CHECK_GE(options.max_colors, 4);
-  LpColoringRefiner refiner(lp, options);
-  return refiner.ReduceTo(options.max_colors);
+  LpMatrixGraph mg = BuildLpMatrixGraph(lp);
+  WallTimer timer;
+  // CanonicalBackendName aborts on malformed names and Create on
+  // unregistered ones (see LpReduceOptions::backend).
+  const std::unique_ptr<ColoringBackend> refiner =
+      ColoringBackendRegistry::Global().Create(
+          CanonicalBackendName(options.backend).value(), mg.graph,
+          std::move(mg.initial), static_cast<const ColoringParams&>(options));
+  while (refiner->partition().num_colors() < options.max_colors &&
+         refiner->Step(options.max_colors)) {
+  }
+  const double coloring_seconds = timer.ElapsedSeconds();
+  ReducedLp out = ExtractReducedLp(lp, refiner->partition(), options.variant);
+  out.max_q = refiner->CurrentMaxError();
+  out.coloring_seconds = coloring_seconds;
+  return out;
 }
 
 std::vector<double> LiftSolution(const ReducedLp& reduced,

@@ -12,7 +12,6 @@
 #ifndef QSC_LP_REDUCE_H_
 #define QSC_LP_REDUCE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
+#include "qsc/graph/graph.h"
 #include "qsc/lp/model.h"
 
 namespace qsc {
@@ -42,8 +42,8 @@ struct LpReduceOptions : ColoringParams {
 
   // Coloring backend for the matrix graph (coloring/backend.h); "" means
   // kDefaultColoringBackend. Must canonicalize to a registered backend —
-  // qsc::Compressor::SolveLp validates; direct construction aborts on
-  // malformed or unknown names.
+  // qsc::Compressor::SolveLp validates; ReduceLp aborts on malformed or
+  // unknown names.
   std::string backend;
 };
 
@@ -60,38 +60,31 @@ struct ReducedLp {
   double coloring_seconds = 0.0;
 };
 
+// One-shot reduction: colors the matrix graph to options.max_colors
+// colors from scratch and extracts the reduced LP. Aborts on an invalid LP
+// or budget; qsc::Compressor::SolveLp is the validated, cached path (one
+// anytime refinement per LP, resumed across budgets) and returns the same
+// bits.
 ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options);
 
-// Anytime variant (paper Sec 5.2: Rothko as a co-routine). Holds the
-// matrix-graph coloring across calls so successive budgets refine the same
-// partition instead of recoloring from scratch:
-//
-//   LpColoringRefiner refiner(lp, options);
-//   for (ColorId k : {10, 20, 50}) {
-//     ReducedLp reduced = refiner.ReduceTo(k);
-//     ... solve, check the approximation, stop when good enough ...
-//   }
-class LpColoringRefiner {
- public:
-  LpColoringRefiner(const LpProblem& lp, const LpReduceOptions& options);
-  ~LpColoringRefiner();
-
-  LpColoringRefiner(const LpColoringRefiner&) = delete;
-  LpColoringRefiner& operator=(const LpColoringRefiner&) = delete;
-
-  // Refines until the matrix graph has `max_colors` colors (or the
-  // coloring converges) and extracts the reduced LP. Budgets must be
-  // non-decreasing across calls.
-  ReducedLp ReduceTo(ColorId max_colors);
-
-  // Colors of the current matrix-graph partition (>= 4 once constructed).
-  // A budget at or above this is a valid ReduceTo argument.
-  ColorId num_colors() const;
-
- private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+// The extended-matrix bipartite graph of an LP and its initial partition,
+// the two inputs of every matrix coloring. Node layout: rows 0..m-1, the
+// objective row m, columns m+1..m+n, the rhs column m+n+1. `initial` has
+// the four colors {rows} {objective row} {columns} {rhs column} (fewer
+// when m or n is 0).
+struct LpMatrixGraph {
+  Graph graph;
+  Partition initial;
 };
+
+LpMatrixGraph BuildLpMatrixGraph(const LpProblem& lp);
+
+// Extracts the reduced LP of Eq. (6) (or the Grohe variant) from a
+// refinement of the matrix graph's initial partition. Leaves max_q and
+// coloring_seconds at 0 for the caller to fill.
+ReducedLp ExtractReducedLp(const LpProblem& lp,
+                           const Partition& matrix_coloring,
+                           LpReduction variant);
 
 // Lifts a reduced solution x^ back to the original variable space
 // (x_j = x^_s / sqrt(|Q_s|) for Eq. (6), x_j = x^_s / |Q_s| for Grohe).

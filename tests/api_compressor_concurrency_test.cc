@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -333,6 +334,15 @@ TEST(CompressorConcurrencyTest, ConcurrentSolveLpMatchesOracle) {
   const std::vector<ColorId> budgets = {8, 16, 12, 24};
   std::vector<std::vector<double>> objectives(kThreads);
   {
+    // stats() races the queries, including the lazy build of each LP's
+    // cache; every snapshot must reconcile.
+    std::atomic<bool> done{false};
+    std::thread poller([&] {
+      while (!done.load()) {
+        const CompressorStats s = session.stats();
+        EXPECT_EQ(s.lp_hits + s.lp_misses + s.lp_recolorings, s.lp_lookups);
+      }
+    });
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -349,6 +359,8 @@ TEST(CompressorConcurrencyTest, ConcurrentSolveLpMatchesOracle) {
       });
     }
     for (std::thread& thread : threads) thread.join();
+    done.store(true);
+    poller.join();
   }
 
   Compressor oracle;

@@ -618,8 +618,8 @@ TEST(CompressorTest, PerBackendStatsReconcile) {
 }
 
 TEST(CompressorTest, SolveLpRoutesBackendToTheMatrixColoring) {
-  // Distinct backends are distinct LP cache sessions; the same backend
-  // re-queried is a hit.
+  // Distinct backends are distinct specs of the LP's coloring cache; the
+  // same backend re-queried is a hit.
   Compressor session;
   const LpProblem lp = MakeQapLikeLp(6, 3);
   QueryOptions query;

@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "qsc/api/compressor.h"
 #include "qsc/eval/differential.h"
 #include "qsc/eval/workload.h"
 #include "qsc/lp/generators.h"
@@ -93,25 +94,30 @@ TEST_P(LpDifferentialTest, StableColoringPreservesOptimum) {
 }
 
 TEST_P(LpDifferentialTest, FullRefinementRecoversExactOptimum) {
-  // The anytime refiner driven to an unlimited budget degenerates to the
-  // identity reduction: stable matrix coloring (q = 0) and the exact
-  // optimum. (Across *capped* budgets max_q may wiggle — a cap can
-  // truncate a monotone refinement step mid-recovery — so monotonicity is
-  // only asserted for uncapped Step(), in coloring_rothko_property_test.)
+  // The session's anytime refinement driven to an unlimited budget
+  // degenerates to the identity reduction: stable matrix coloring (q = 0)
+  // and the exact optimum. (Across *capped* budgets max_q may wiggle — a
+  // cap can truncate a monotone refinement step mid-recovery — so
+  // monotonicity is only asserted for uncapped Step(), in
+  // coloring_rothko_property_test.)
   const LpProblem lp = MakeNugentLikeLp(5, GetParam());
   const LpResult exact = SolveSimplex(lp);
   ASSERT_EQ(exact.status, LpStatus::kOptimal);
 
-  LpReduceOptions options;
-  LpColoringRefiner refiner(lp, options);
-  ReducedLp previous = refiner.ReduceTo(10);  // capped checkpoint first
-  EXPECT_GE(previous.max_q, 0.0);
-  const ReducedLp full =
-      refiner.ReduceTo(static_cast<ColorId>(lp.num_rows + lp.num_cols + 2));
-  EXPECT_NEAR(full.max_q, 0.0, 1e-9);
-  const LpResult red = SolveSimplex(full.lp);
-  ASSERT_EQ(red.status, LpStatus::kOptimal);
-  EXPECT_NEAR(RelativeError(exact.objective, red.objective), 1.0, 1e-6);
+  Compressor session;
+  QueryOptions query;
+  query.max_colors = 10;  // capped checkpoint first
+  const StatusOr<LpQueryResult> capped = session.SolveLp(lp, query);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_GE(capped->reduced.max_q, 0.0);
+  query.max_colors = static_cast<ColorId>(lp.num_rows + lp.num_cols + 2);
+  const StatusOr<LpQueryResult> full = session.SolveLp(lp, query);
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(full->telemetry.coloring_cache_hit);  // resumed, not rerun
+  EXPECT_NEAR(full->reduced.max_q, 0.0, 1e-9);
+  ASSERT_EQ(full->solution.status, LpStatus::kOptimal);
+  EXPECT_NEAR(RelativeError(exact.objective, full->solution.objective), 1.0,
+              1e-6);
 }
 
 TEST_P(LpDifferentialTest, EvalRunnerFindsNoViolations) {

@@ -163,38 +163,6 @@ TEST(ReduceLpTest, RowAndColumnColorsNeverMix) {
             options.max_colors + 1);
 }
 
-TEST(LpColoringRefinerTest, AnytimeMatchesFromScratch) {
-  // Growing the same refiner must produce the same reductions as fresh
-  // ReduceLp calls (the refinement is deterministic).
-  const LpProblem lp = MakeQapLikeLp(5, 17);
-  LpReduceOptions options;
-  LpColoringRefiner refiner(lp, options);
-  for (ColorId k : {8, 16, 32, 64}) {
-    const ReducedLp incremental = refiner.ReduceTo(k);
-    LpReduceOptions fresh_options;
-    fresh_options.max_colors = k;
-    const ReducedLp fresh = ReduceLp(lp, fresh_options);
-    EXPECT_EQ(incremental.lp.num_rows, fresh.lp.num_rows) << k;
-    EXPECT_EQ(incremental.lp.num_cols, fresh.lp.num_cols) << k;
-    const LpResult a = SolveSimplex(incremental.lp);
-    const LpResult b = SolveSimplex(fresh.lp);
-    ASSERT_EQ(a.status, LpStatus::kOptimal);
-    EXPECT_NEAR(a.objective, b.objective,
-                1e-9 * (1.0 + std::abs(b.objective)))
-        << k;
-  }
-}
-
-TEST(LpColoringRefinerTest, ColoringTimeAccumulates) {
-  const LpProblem lp = MakeQapLikeLp(5, 18);
-  LpReduceOptions options;
-  LpColoringRefiner refiner(lp, options);
-  const ReducedLp first = refiner.ReduceTo(8);
-  const ReducedLp second = refiner.ReduceTo(32);
-  EXPECT_GE(second.coloring_seconds, first.coloring_seconds);
-  EXPECT_LE(second.max_q, first.max_q + 1e-9);
-}
-
 TEST(ReduceLpTest, MaxQReportedMatchesTolerance) {
   const LpProblem lp = MakeNugentLikeLp(4, 13);
   LpReduceOptions options;
