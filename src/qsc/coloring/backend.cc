@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -26,6 +27,14 @@ char AsciiLower(char c) {
 bool IsNameChar(char c, bool first) {
   const bool alnum = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
   return first ? alnum : alnum || c == '_' || c == '-';
+}
+
+// Every builtin runs Rothko's engine; max_colors only drives
+// RothkoRefiner::Run, which the registry's callers never use.
+RothkoOptions EngineOptions(const ColoringParams& params) {
+  RothkoOptions options;
+  static_cast<ColoringParams&>(options) = params;
+  return options;
 }
 
 }  // namespace
@@ -80,24 +89,23 @@ ColoringBackendRegistry& ColoringBackendRegistry::Global() {
         "rothko",
         "paper Algorithm 1: size-weighted worst-witness splits at the mean",
         [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          RothkoOptions options;
-          static_cast<ColoringParams&>(options) = params;
-          return std::unique_ptr<ColoringBackend>(
-              new RothkoRefiner(g, std::move(initial), options));
+          return std::make_unique<RothkoRefiner>(g, std::move(initial),
+                                                 EngineOptions(params));
         });
     registry->Register(
         "lp-rounding",
         "witness splits as assignment LPs solved by simplex, then rounded",
         [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::unique_ptr<ColoringBackend>(
-              new LpRoundingRefiner(g, std::move(initial), params));
+          return std::make_unique<RothkoRefiner>(
+              g, std::move(initial), EngineOptions(params),
+              MakeLpRoundingRule());
         });
     registry->Register(
         "bucket",
         "weighted-degree bucketing at the median rank (cheap baseline)",
         [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::unique_ptr<ColoringBackend>(
-              new BucketRefiner(g, std::move(initial), params));
+          return std::make_unique<RothkoRefiner>(
+              g, std::move(initial), EngineOptions(params), MakeBucketRule(g));
         });
     return registry;
   }();

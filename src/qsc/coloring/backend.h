@@ -26,17 +26,19 @@
 //   4. MemoryBytes() approximates the live heap footprint for the
 //      byte-budgeted cache's eviction accounting.
 //
-// Builtin backends (registered on first Global() use):
+// Builtin backends (registered on first Global() use). All three run
+// RothkoRefiner's incremental engine — one witness table, one worst-witness
+// selection, one monotone Step — and differ only in the SplitRule that
+// picks which members of the worst witness's color leave:
 //
-//   rothko      - the paper's Algorithm 1 (RothkoRefiner): size-weighted
-//                 worst-witness selection, split at the witness mean.
-//   lp-rounding - LP-relaxation splits: the worst witness's member
-//                 weights are 2-center-clustered by a small assignment LP
-//                 solved with the in-tree simplex, then rounded
+//   rothko      - the paper's Algorithm 1: split at the witness mean.
+//   lp-rounding - LP-relaxation splits: the member weights are
+//                 2-center-clustered by a small assignment LP solved with
+//                 the in-tree simplex, then rounded
 //                 (coloring/lp_rounding.h).
-//   bucket      - degree bucketing: the worst-witness color is split at
-//                 the median rank of total weighted degree — the cheap
-//                 structure-oblivious baseline (coloring/bucket.h).
+//   bucket      - degree bucketing: split at the median rank of total
+//                 weighted degree — the cheap structure-oblivious
+//                 baseline (coloring/bucket.h).
 
 #ifndef QSC_COLORING_BACKEND_H_
 #define QSC_COLORING_BACKEND_H_

@@ -1,37 +1,26 @@
 // The `bucket` compression backend: degree bucketing as the cheap,
 // structure-oblivious baseline (Slim Graph's simplest kernel class).
 //
-// The scaffold (split_refiner.h) picks which color to split — the worst
-// witness, as every backend does — but the cut itself ignores the witness
-// weights entirely: members are ranked by total weighted degree
+// Rothko's engine (rothko.h) picks which color to split — the worst
+// witness, as every backend does — but this rule's cut ignores the
+// witness weights entirely: members are ranked by total weighted degree
 // (OutWeight + InWeight, ties by node id) and the upper half of the ranks
 // is peeled into the new color. SplitMean is ignored (there is no
 // threshold, only a median rank); alpha/beta still shape witness
-// *selection* via the shared scaffold. This is the backend any
-// quality-claims plot must beat to justify a smarter kernel.
+// *selection*, which ranks by SplitRule::Ranking::kScan. This is the
+// backend any quality-claims plot must beat to justify a smarter kernel.
 
 #ifndef QSC_COLORING_BUCKET_H_
 #define QSC_COLORING_BUCKET_H_
 
-#include <vector>
+#include <memory>
 
-#include "qsc/coloring/split_refiner.h"
+#include "qsc/coloring/rothko.h"
+#include "qsc/graph/graph_view.h"
 
 namespace qsc {
 
-class BucketRefiner : public WitnessSplitRefiner {
- public:
-  BucketRefiner(const GraphView& g, Partition initial,
-                const ColoringParams& params);
-
-  int64_t MemoryBytes() const override;
-
- protected:
-  std::vector<NodeId> ChooseSplit(const Witness& witness) override;
-
- private:
-  std::vector<double> total_degree_;  // OutWeight + InWeight, per node
-};
+std::unique_ptr<SplitRule> MakeBucketRule(const GraphView& g);
 
 }  // namespace qsc
 

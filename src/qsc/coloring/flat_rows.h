@@ -8,10 +8,14 @@
 // rebuild passes walk the maps in allocation order. This header provides
 // the flat replacements:
 //
-//  - FlatWeightRows: per-node rows stored as small vectors of (key,
-//    weight) entries sorted by key. Rows are short (the number of distinct
-//    neighbor colors), so binary search plus a memmove-style insert beats
-//    hashing, and sequential scans are cache-linear.
+//  - FlatWeightRows: per-node rows of (key, weight) entries sorted by
+//    key. Rows are short (the number of distinct neighbor colors), so
+//    binary search plus a memmove-style insert beats hashing, and
+//    sequential scans are cache-linear. All rows share one arena sized
+//    by the graph's degrees (the CSR layout), so building and freeing a
+//    refiner's rows costs a few allocations instead of one or more per
+//    node; an edit batch that falls back rebuilds them for every cached
+//    coloring.
 //  - EpochScratch<T>: a dense ColorId-indexed accumulator reused across
 //    splits without clearing — a slot is "absent" unless its stamp equals
 //    the current epoch. NewEpoch() is O(1), so per-split scratch work is
@@ -47,48 +51,127 @@ struct RowEntry {
   double weight;
 };
 
-// Per-node sparse weight rows, each sorted by key.
+// Per-node sparse weight rows, each sorted by key, packed in one arena in
+// the CSR layout: row v owns the arena slots [begin, begin + capacity).
+// The arena is struct-of-arrays (keys and weights apart), so an entry
+// takes 12 bytes, not a padded 16. Sizing each row by its node's degree
+// fits every row in place, since a row holds at most one key per arc; a
+// row that still fills up (a reset without capacities, or a key kept
+// alive by rounding residue) moves to the arena's end with twice the
+// room.
 class FlatWeightRows {
  public:
-  using Row = std::vector<RowEntry>;
+  // Read-only view of one row, yielding entries by value; valid until the
+  // next Add, Subtract or Reset.
+  class Row {
+   public:
+    class Iterator {
+     public:
+      Iterator(const ColorId* key, const double* weight)
+          : key_(key), weight_(weight) {}
+      RowEntry operator*() const { return {*key_, *weight_}; }
+      Iterator& operator++() {
+        ++key_;
+        ++weight_;
+        return *this;
+      }
+      bool operator!=(const Iterator& o) const { return key_ != o.key_; }
 
+     private:
+      const ColorId* key_;
+      const double* weight_;
+    };
+
+    Row(const ColorId* keys, const double* weights, size_t size)
+        : keys_(keys), weights_(weights), size_(size) {}
+    Iterator begin() const { return {keys_, weights_}; }
+    Iterator end() const { return {keys_ + size_, weights_ + size_}; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    RowEntry operator[](size_t i) const { return {keys_[i], weights_[i]}; }
+    RowEntry back() const { return (*this)[size_ - 1]; }
+
+   private:
+    const ColorId* keys_;
+    const double* weights_;
+    size_t size_;
+  };
+
+  // Empties the table to `num_rows` rows, row v with room for
+  // capacity(v) entries before it has to move.
+  template <typename CapacityFn>
+  void Reset(NodeId num_rows, CapacityFn capacity) {
+    ranges_.assign(static_cast<size_t>(num_rows), {});
+    int64_t total = 0;
+    for (NodeId v = 0; v < num_rows; ++v) {
+      ranges_[v].begin = total;
+      ranges_[v].capacity = static_cast<int32_t>(capacity(v));
+      total += ranges_[v].capacity;
+    }
+    keys_.assign(static_cast<size_t>(total), 0);
+    weights_.assign(static_cast<size_t>(total), 0.0);
+  }
   void Reset(NodeId num_rows) {
-    rows_.assign(static_cast<size_t>(num_rows), {});
+    Reset(num_rows, [](NodeId) { return 0; });
   }
 
-  bool empty() const { return rows_.empty(); }
+  bool empty() const { return ranges_.empty(); }
 
-  const Row& RowOf(NodeId v) const {
-    QSC_DCHECK(v >= 0 && static_cast<size_t>(v) < rows_.size());
-    return rows_[v];
+  Row RowOf(NodeId v) const {
+    QSC_DCHECK(v >= 0 && static_cast<size_t>(v) < ranges_.size());
+    const Range& r = ranges_[v];
+    return Row(keys_.data() + r.begin, weights_.data() + r.begin,
+               static_cast<size_t>(r.size));
   }
 
-  // Pointer to the entry for `key` in row `v`; nullptr when absent.
-  const RowEntry* Find(NodeId v, ColorId key) const {
-    const Row& row = RowOf(v);
-    const auto it = LowerBound(row, key);
-    if (it == row.end() || it->key != key) return nullptr;
-    return &*it;
+  // Pointer to the weight for `key` in row `v`; nullptr when absent.
+  const double* FindWeight(NodeId v, ColorId key) const {
+    const Range& r = ranges_[v];
+    const ColorId* first = keys_.data() + r.begin;
+    const ColorId* last = first + r.size;
+    const ColorId* it = std::lower_bound(first, last, key);
+    if (it == last || *it != key) return nullptr;
+    return weights_.data() + r.begin + (it - first);
   }
 
   // Weight for `key` in row `v`, 0.0 when absent (the sparse convention).
   double WeightOrZero(NodeId v, ColorId key) const {
-    const RowEntry* e = Find(v, key);
-    return e == nullptr ? 0.0 : e->weight;
+    const double* w = FindWeight(v, key);
+    return w == nullptr ? 0.0 : *w;
   }
 
   // Accumulates `w` onto the entry (inserting it when absent) and drops the
   // entry if the result lies within the zero tolerance.
   void Add(NodeId v, ColorId key, double w) {
-    Row& row = rows_[v];
-    const auto it = LowerBound(row, key);
-    if (it != row.end() && it->key == key) {
-      it->weight += w;
-      if (std::abs(it->weight) < kZeroWeightTolerance) row.erase(it);
+    Range& r = ranges_[v];
+    ColorId* first = keys_.data() + r.begin;
+    const int64_t pos = std::lower_bound(first, first + r.size, key) - first;
+    const int64_t at = r.begin + pos;
+    const int64_t end = r.begin + r.size;
+    if (pos < r.size && keys_[at] == key) {
+      weights_[at] += w;
+      if (std::abs(weights_[at]) < kZeroWeightTolerance) {
+        std::copy(keys_.begin() + at + 1, keys_.begin() + end,
+                  keys_.begin() + at);
+        std::copy(weights_.begin() + at + 1, weights_.begin() + end,
+                  weights_.begin() + at);
+        --r.size;
+      }
       return;
     }
     if (std::abs(w) < kZeroWeightTolerance) return;  // would erase at once
-    row.insert(it, {key, w});
+    if (r.size == r.capacity) {
+      Regrow(v);
+      Add(v, key, w);  // now fits
+      return;
+    }
+    std::copy_backward(keys_.begin() + at, keys_.begin() + end,
+                       keys_.begin() + end + 1);
+    std::copy_backward(weights_.begin() + at, weights_.begin() + end,
+                       weights_.begin() + end + 1);
+    keys_[at] = key;
+    weights_[at] = w;
+    ++r.size;
   }
 
   // Subtracts `w`, treating an absent entry as an implicit 0. Absence is
@@ -100,28 +183,39 @@ class FlatWeightRows {
   // lives in one place.
   void Subtract(NodeId v, ColorId key, double w) { Add(v, key, -w); }
 
-  // Heap footprint (row capacities) for the byte-budgeted cache.
+  // Heap footprint (range table and arena capacities) for the
+  // byte-budgeted cache.
   int64_t MemoryBytes() const {
-    int64_t bytes = static_cast<int64_t>(rows_.capacity() * sizeof(Row));
-    for (const Row& row : rows_) {
-      bytes += static_cast<int64_t>(row.capacity() * sizeof(RowEntry));
-    }
-    return bytes;
+    return static_cast<int64_t>(ranges_.capacity() * sizeof(Range) +
+                                keys_.capacity() * sizeof(ColorId) +
+                                weights_.capacity() * sizeof(double));
   }
 
  private:
-  static Row::iterator LowerBound(Row& row, ColorId key) {
-    return std::lower_bound(
-        row.begin(), row.end(), key,
-        [](const RowEntry& e, ColorId k) { return e.key < k; });
-  }
-  static Row::const_iterator LowerBound(const Row& row, ColorId key) {
-    return std::lower_bound(
-        row.begin(), row.end(), key,
-        [](const RowEntry& e, ColorId k) { return e.key < k; });
+  struct Range {
+    int64_t begin = 0;  // first arena slot
+    int32_t size = 0;
+    int32_t capacity = 0;
+  };
+
+  // Moves full row `v` to the arena's end with twice the room. Its old
+  // slots are never reused; the doubling bounds that waste by the
+  // capacity of the rows that moved.
+  void Regrow(NodeId v) {
+    Range& r = ranges_[v];
+    const int64_t begin = static_cast<int64_t>(keys_.size());
+    const int32_t capacity = std::max(2, 2 * r.capacity);
+    keys_.resize(static_cast<size_t>(begin + capacity));
+    weights_.resize(static_cast<size_t>(begin + capacity));
+    std::copy_n(keys_.begin() + r.begin, r.size, keys_.begin() + begin);
+    std::copy_n(weights_.begin() + r.begin, r.size, weights_.begin() + begin);
+    r.begin = begin;
+    r.capacity = capacity;
   }
 
-  std::vector<Row> rows_;
+  std::vector<Range> ranges_;
+  std::vector<ColorId> keys_;
+  std::vector<double> weights_;
 };
 
 // Dense ColorId-indexed scratch map with O(1) reuse. Values persist only

@@ -1,9 +1,10 @@
 // The `lp-rounding` compression backend: witness splits posed as a small
 // assignment LP solved by the in-tree simplex, then rounded (the Limbo
 // LPColoring recipe — relax the combinatorial choice, solve the LP,
-// round the fractional solution).
+// round the fractional solution). It is a split rule on Rothko's engine
+// (rothko.h), which finds the worst witness and keeps the step monotone.
 //
-// For the worst witness the kernel groups members by witness weight
+// For the worst witness the rule groups members by witness weight
 // (quantile-merged to <= kMaxGroups groups), then solves
 //
 //     maximize  sum_g (w_g - mid) * x_g
@@ -22,38 +23,20 @@
 // fixed function of the witness, and SolveSimplex is deterministic, so
 // the split sequence is a pure function of (graph, partition, params).
 // If the solver ever fails to return an optimum (it cannot on this
-// bounded feasible family, but the kernel does not rely on that), the
-// kernel falls back to the plain midrange threshold.
+// bounded feasible family, but the rule does not rely on that), the
+// rule falls back to the plain midrange threshold. Witnesses rank by
+// SplitRule::Ranking::kScan.
 
 #ifndef QSC_COLORING_LP_ROUNDING_H_
 #define QSC_COLORING_LP_ROUNDING_H_
 
-#include <cstdint>
-#include <vector>
+#include <memory>
 
-#include "qsc/coloring/split_refiner.h"
+#include "qsc/coloring/rothko.h"
 
 namespace qsc {
 
-class LpRoundingRefiner : public WitnessSplitRefiner {
- public:
-  // Cap on LP columns per split; larger witness colors are quantile-merged.
-  static constexpr int kMaxGroups = 256;
-
-  LpRoundingRefiner(const GraphView& g, Partition initial,
-                    const ColoringParams& params);
-
-  int64_t MemoryBytes() const override;
-
-  // Total simplex iterations spent across all splits (telemetry).
-  int64_t lp_iterations() const { return lp_iterations_; }
-
- protected:
-  std::vector<NodeId> ChooseSplit(const Witness& witness) override;
-
- private:
-  int64_t lp_iterations_ = 0;
-};
+std::unique_ptr<SplitRule> MakeLpRoundingRule();
 
 }  // namespace qsc
 

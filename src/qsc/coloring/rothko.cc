@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -19,15 +20,72 @@ namespace {
 constexpr int64_t kMinParallelMembers = 4096;
 constexpr int64_t kMemberGrain = 2048;
 
+// Degree-row slots reserved for a hub; its row moves once it holds more
+// colors (see BuildDegreeRows).
+constexpr int64_t kHubRowCapacity = 1024;
+
+// Algorithm 1 lines 10-13: eject the members above the witness mean.
+class MeanCutRule final : public SplitRule {
+ public:
+  explicit MeanCutRule(SplitMean mean) : mean_(mean) {}
+
+  Ranking ranking() const override { return Ranking::kRothko; }
+
+  void ChooseEject(const SplitWitness& w,
+                   std::vector<NodeId>* eject) override {
+    const std::vector<double>& values = w.weights;
+    const size_t size = values.size();
+    // The arithmetic sum is order-sensitive: a sequential fold in member
+    // order, as the reference implementation accumulates it.
+    double threshold;
+    if (mean_ == SplitMean::kGeometric && w.lo >= 0.0) {
+      double log_sum = 0.0;
+      for (double v : values) log_sum += std::log1p(v);
+      threshold = std::expm1(log_sum / static_cast<double>(size));
+    } else {
+      double sum = 0.0;
+      for (double v : values) sum += v;
+      threshold = sum / static_cast<double>(size);
+    }
+    const size_t first = eject->size();
+    for (size_t i = 0; i < size; ++i) {
+      if (values[i] > threshold) eject->push_back(w.members[i]);
+    }
+    const size_t ejected = eject->size() - first;
+    if (ejected == 0 || ejected == size) {
+      // Floating-point edge case (threshold rounded onto an extreme):
+      // split strictly above the minimum instead.
+      eject->resize(first);
+      for (size_t i = 0; i < size; ++i) {
+        if (values[i] > w.lo) eject->push_back(w.members[i]);
+      }
+    }
+  }
+
+  int64_t MemoryBytes() const override { return sizeof(*this); }
+
+ private:
+  SplitMean mean_;
+};
+
 }  // namespace
 
 class RothkoRefiner::Impl {
  public:
-  Impl(const GraphView& g, Partition initial, RothkoOptions options)
+  Impl(const GraphView& g, Partition initial, RothkoOptions options,
+       std::unique_ptr<SplitRule> rule)
       : graph_(g),
         options_(options),
         partition_(std::move(initial)),
-        directed_(!g.undirected()) {
+        directed_(!g.undirected()),
+        rule_(std::move(rule)),
+        // Under kScan every size weight must follow the color sizes, so a
+        // split re-scores all pairs toward the split color, not only those
+        // whose aggregates moved (unneeded when both exponents are 0).
+        refresh_size_weights_(rule_->ranking() == SplitRule::Ranking::kScan &&
+                              (options.alpha != 0.0 || options.beta != 0.0)),
+        weighted_heap_(HeapLess{rule_->ranking()}),
+        raw_heap_(HeapLess{rule_->ranking()}) {
     QSC_CHECK_EQ(g.num_nodes(), partition_.num_nodes());
     BuildDegreeRows();
     out_agg_.resize(partition_.num_colors());
@@ -98,7 +156,7 @@ class RothkoRefiner::Impl {
         affected_scratch_.capacity() * sizeof(ColorId) +
         score_scratch_.capacity() * sizeof(SplitPairScore) +
         history_.capacity() * sizeof(RothkoStep));
-    return bytes;
+    return bytes + rule_->MemoryBytes();
   }
 
  private:
@@ -124,14 +182,30 @@ class RothkoRefiner::Impl {
     uint8_t direction;  // 0: split src by out-weight; 1: split dst by
                         // in-weight.
     uint64_t version;
+  };
 
-    bool operator<(const HeapEntry& o) const {
-      if (priority != o.priority) return priority < o.priority;
-      if (src != o.src) return src > o.src;  // deterministic tie-breaks
-      if (dst != o.dst) return dst > o.dst;
-      return direction > o.direction;
+  // Max-heap order: the higher priority first, then the rule's tie order
+  // (SplitRule::Ranking), lowest keys first.
+  struct HeapLess {
+    SplitRule::Ranking ranking;
+
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      if (ranking == SplitRule::Ranking::kRothko) {
+        if (a.src != b.src) return a.src > b.src;
+        if (a.dst != b.dst) return a.dst > b.dst;
+        return a.direction > b.direction;
+      }
+      if (a.direction != b.direction) return a.direction > b.direction;
+      // Same direction: direction 0 splits src, direction 1 splits dst.
+      const bool out = a.direction == 0;
+      const ColorId a_split = out ? a.src : a.dst;
+      const ColorId b_split = out ? b.src : b.dst;
+      if (a_split != b_split) return a_split > b_split;
+      return (out ? a.dst : a.src) > (out ? b.dst : b.src);
     }
   };
+  using Heap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess>;
 
   static AggRow::iterator AggLowerBound(AggRow& row, ColorId key) {
     return std::lower_bound(
@@ -149,8 +223,16 @@ class RothkoRefiner::Impl {
 
   void BuildDegreeRows() {
     const NodeId n = graph_.num_nodes();
-    out_deg_.Reset(n);
-    if (directed_) in_deg_.Reset(n);
+    // A row holds at most one key per arc and one per color, so degrees
+    // size the rows without moves; only hub rows past kHubRowCapacity
+    // colors grow.
+    const auto capacity = [](int64_t degree) {
+      return std::min(degree, kHubRowCapacity);
+    };
+    out_deg_.Reset(n, [&](NodeId v) { return capacity(graph_.OutDegree(v)); });
+    if (directed_) {
+      in_deg_.Reset(n, [&](NodeId v) { return capacity(graph_.InDegree(v)); });
+    }
     for (NodeId u = 0; u < n; ++u) {
       for (const NeighborEntry& e : graph_.OutNeighbors(u)) {
         out_deg_.Add(u, partition_.ColorOf(e.node), e.weight);
@@ -198,7 +280,7 @@ class RothkoRefiner::Impl {
                      bool source_side, uint8_t direction) {
     agg_scratch_.NewEpoch();
     for (NodeId v : partition_.Members(c)) {
-      for (const RowEntry& e : deg.RowOf(v)) {
+      for (const RowEntry e : deg.RowOf(v)) {
         bool fresh;
         // A fresh slot is value-initialized (count 0), which Merge
         // treats as the first sample.
@@ -278,13 +360,13 @@ class RothkoRefiner::Impl {
     QSC_DCHECK(new_key + 1 == partition_.num_colors());
     SplitPairScore score;
     for (NodeId v : partition_.Members(c)) {
-      const FlatWeightRows::Row& row = deg.RowOf(v);
+      const FlatWeightRows::Row row = deg.RowOf(v);
       if (row.empty()) continue;
       if (row.back().key == new_key) {
         score.new_agg.Merge(row.back().weight);
       }
-      const RowEntry* e = deg.Find(v, split_key);
-      if (e != nullptr) score.split_agg.Merge(e->weight);
+      const double* w = deg.FindWeight(v, split_key);
+      if (w != nullptr) score.split_agg.Merge(*w);
     }
     return score;
   }
@@ -328,7 +410,7 @@ class RothkoRefiner::Impl {
 
   // Pops stale entries off `heap` until its top is current; returns false
   // if the heap drains.
-  bool PeekValid(std::priority_queue<HeapEntry>& heap, HeapEntry* out) const {
+  bool PeekValid(Heap& heap, HeapEntry* out) const {
     while (!heap.empty()) {
       const HeapEntry& top = heap.top();
       const AggRow& row =
@@ -356,10 +438,8 @@ class RothkoRefiner::Impl {
 
     // Witness degrees of every member (0 when absent). The gather is
     // independent per member and the min/max envelope is an associative
-    // reduction, so both parallelize bit-identically; the arithmetic-mean
-    // sum is order-sensitive and stays a sequential fold over the
-    // materialized values, which accumulates in exactly the reference
-    // implementation's index order.
+    // reduction, so both parallelize bit-identically; anything
+    // order-sensitive is the rule's, over the materialized values.
     std::vector<double>& values = split_values_;
     values.resize(size);
     ThreadPool* scan_pool =
@@ -381,37 +461,30 @@ class RothkoRefiner::Impl {
         });
     const double lo = env.lo;
     const double hi = env.hi;
-    bool has_negative = lo < 0.0;
-    double sum = 0.0;
-    for (size_t i = 0; i < size; ++i) sum += values[i];
     QSC_CHECK_GT(hi, lo);  // Witness error was positive.
 
-    double threshold;
-    if (options_.split_mean == RothkoOptions::SplitMean::kGeometric &&
-        !has_negative) {
-      double log_sum = 0.0;
-      for (double v : values) log_sum += std::log1p(v);
-      threshold = std::expm1(log_sum / static_cast<double>(size));
-    } else {
-      threshold = sum / static_cast<double>(size);
-    }
-
-    // Retain nodes at or below the threshold, eject the rest (Algorithm 1
-    // lines 10-13).
     std::vector<NodeId>& eject = eject_;
     eject.clear();
-    for (size_t i = 0; i < size; ++i) {
-      if (values[i] > threshold) eject.push_back(members[i]);
+    rule_->ChooseEject(
+        {split_color, other, witness.direction == 0, members, values, lo},
+        &eject);
+    // Member lists are in id order, so answers given in member order
+    // arrive sorted.
+    if (!std::is_sorted(eject.begin(), eject.end())) {
+      std::sort(eject.begin(), eject.end());
     }
-    if (eject.empty() || eject.size() == size) {
-      // Floating-point edge case (threshold rounded onto an extreme):
-      // split strictly above the minimum instead.
-      eject.clear();
-      for (size_t i = 0; i < size; ++i) {
-        if (values[i] > lo) eject.push_back(members[i]);
+    eject.erase(std::unique(eject.begin(), eject.end()), eject.end());
+    if (eject.empty() || eject.size() >= size) {
+      // Degenerate answer: peel the single max-weight member (lowest node
+      // id among ties) so every split makes progress.
+      size_t best = 0;
+      for (size_t i = 1; i < size; ++i) {
+        if (values[i] > values[best] ||
+            (values[i] == values[best] && members[i] < members[best])) {
+          best = i;
+        }
       }
-      QSC_CHECK(!eject.empty());
-      QSC_CHECK_LT(eject.size(), size);
+      eject.assign(1, members[best]);
     }
 
     const ColorId new_color = partition_.SplitColor(split_color, eject);
@@ -434,6 +507,20 @@ class RothkoRefiner::Impl {
           in_deg_.Subtract(e.node, split_color, e.weight);
           in_deg_.Add(e.node, new_color, e.weight);
           in_affected_.Touch(partition_.ColorOf(e.node));
+        }
+      }
+    }
+    if (refresh_size_weights_) {
+      // The split color shrank: re-score every pair toward it, including
+      // those whose aggregates the ejection left unchanged.
+      for (NodeId v : partition_.Members(split_color)) {
+        for (const NeighborEntry& e : graph_.InNeighbors(v)) {
+          out_affected_.Touch(partition_.ColorOf(e.node));
+        }
+        if (directed_) {
+          for (const NeighborEntry& e : graph_.OutNeighbors(v)) {
+            in_affected_.Touch(partition_.ColorOf(e.node));
+          }
         }
       }
     }
@@ -474,8 +561,11 @@ class RothkoRefiner::Impl {
   std::vector<AggRow> out_agg_;
   std::vector<AggRow> in_agg_;
 
-  mutable std::priority_queue<HeapEntry> weighted_heap_;
-  mutable std::priority_queue<HeapEntry> raw_heap_;
+  std::unique_ptr<SplitRule> rule_;
+  bool refresh_size_weights_;
+
+  mutable Heap weighted_heap_;
+  mutable Heap raw_heap_;
   uint64_t version_counter_ = 0;
 
   // Preallocated scratch reused across splits (see flat_rows.h).
@@ -494,7 +584,13 @@ class RothkoRefiner::Impl {
 
 RothkoRefiner::RothkoRefiner(const GraphView& g, Partition initial,
                              RothkoOptions options)
-    : impl_(new Impl(g, std::move(initial), options)) {}
+    : RothkoRefiner(g, std::move(initial), options,
+                    std::make_unique<MeanCutRule>(options.split_mean)) {}
+
+RothkoRefiner::RothkoRefiner(const GraphView& g, Partition initial,
+                             RothkoOptions options,
+                             std::unique_ptr<SplitRule> rule)
+    : impl_(new Impl(g, std::move(initial), options, std::move(rule))) {}
 
 RothkoRefiner::~RothkoRefiner() = default;
 

@@ -19,6 +19,13 @@
 // to the split color's volume), and witnesses are found through lazy
 // max-heaps, so building a k-color refinement does not rescan the graph k
 // times.
+//
+// This engine drives every registered backend (coloring/backend.h). What
+// differs between backends is only the split rule: given the worst
+// witness, which members move into the new color. Rothko's rule cuts at
+// the witness mean; lp-rounding (lp_rounding.h) and bucket (bucket.h)
+// plug their own rules into the same witness table, heaps and monotone
+// step.
 
 #ifndef QSC_COLORING_ROTHKO_H_
 #define QSC_COLORING_ROTHKO_H_
@@ -67,12 +74,61 @@ struct RothkoStep {
   double elapsed_seconds;  // since refiner construction
 };
 
+// The worst witness, as a split rule sees it.
+struct SplitWitness {
+  ColorId split_color;  // the color to split (>= 2 members)
+  ColorId other_color;  // the witness pair's other end
+  // True: weights are out-weights of the members into other_color;
+  // false: in-weights from other_color (directed graphs only).
+  bool out_direction;
+  const std::vector<NodeId>& members;  // Members(split_color)
+  // Witness weight of every member, aligned with `members`; a member
+  // without an arc toward other_color weighs 0.
+  const std::vector<double>& weights;
+  double lo;  // min of `weights`; some weight is larger
+};
+
+// The per-backend half of a witness split: which members leave.
+class SplitRule {
+ public:
+  // How witnesses of equal size-weighted score are ranked. A constant of
+  // each backend, never an option: it fixes the split sequence.
+  enum class Ranking {
+    // Rothko's: the lowest (source, target, direction) wins a tie, and a
+    // pair's size weight is refreshed when its own aggregate changes.
+    kRothko,
+    // The order lp-rounding and bucket were defined with: the lowest
+    // (direction, split color, other color) wins a tie, and every pair's
+    // size weight follows the current color sizes.
+    kScan,
+  };
+
+  virtual ~SplitRule() = default;
+
+  virtual Ranking ranking() const = 0;
+
+  // Appends the members to move into the new color to `eject`. Any
+  // subset is accepted: the engine sorts and deduplicates it, and turns
+  // an empty or full answer into the single max-weight member (lowest
+  // node id among ties), so a rule only needs to be deterministic.
+  virtual void ChooseEject(const SplitWitness& witness,
+                           std::vector<NodeId>* eject) = 0;
+
+  // Heap bytes the rule holds (tables, scratch), for MemoryBytes().
+  virtual int64_t MemoryBytes() const = 0;
+};
+
 // Incremental refiner; use RothkoColoring() unless you need the anytime /
 // co-routine interface. Registered as the `rothko` compression backend
-// (coloring/backend.h).
+// (coloring/backend.h), and, with their split rules, as `lp-rounding` and
+// `bucket`.
 class RothkoRefiner : public ColoringBackend {
  public:
+  // Splits by Rothko's rule: at the witness mean (options.split_mean),
+  // or strictly above the minimum when the mean rounds onto an extreme.
   RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options);
+  RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options,
+                std::unique_ptr<SplitRule> rule);
   ~RothkoRefiner() override;
 
   RothkoRefiner(const RothkoRefiner&) = delete;
@@ -107,10 +163,10 @@ class RothkoRefiner : public ColoringBackend {
   const std::vector<RothkoStep>& history() const;
 
   // Approximate heap footprint of the live refiner (degree rows, pair
-  // aggregates, witness heaps, scratch, history), in bytes. Capacities are
-  // counted where accessible, element counts where not (the heaps), so the
-  // number is a close lower bound on the allocator's view. Used by the
-  // byte-budgeted ColoringCache to decide eviction.
+  // aggregates, witness heaps, scratch, history, split rule), in bytes.
+  // Capacities are counted where accessible, element counts where not
+  // (the heaps), so the number is a close lower bound on the allocator's
+  // view. Used by the byte-budgeted ColoringCache to decide eviction.
   int64_t MemoryBytes() const override;
 
  private:

@@ -5,10 +5,11 @@
 // with no such arc weighs 0. The spread of the pair is max - min of w over
 // all |P_i| members, so absent members pull the range toward 0.
 //
-// WitnessStats is the O(1) aggregate the spread needs; Rothko keeps one
-// per pair incrementally, while ScanWitnessPairs rebuilds every pair from
-// scratch (ComputeQError, ComputeRelativeError and the witness-split
-// scaffold of lp-rounding and bucket).
+// WitnessStats is the O(1) aggregate the spread needs; Rothko's engine,
+// which drives every backend, keeps one per pair incrementally.
+// ScanWitnessPairs rebuilds every pair from scratch and serves only the
+// q-error references (ComputeQError, ComputeRelativeError): the
+// independent check on every engine's CurrentMaxError.
 
 #ifndef QSC_COLORING_WITNESS_SPREAD_H_
 #define QSC_COLORING_WITNESS_SPREAD_H_

@@ -168,8 +168,9 @@ void DifferentialRunner::CheckColoringAnytime(
                    static_cast<double>(steps),
                    static_cast<double>(replay->partition().num_colors())));
 
-  // Rothko-specific telemetry: the split history's color counts are
-  // strictly increasing. Other backends do not expose a history.
+  // Engine telemetry: the split history's color counts are strictly
+  // increasing. Every builtin runs on RothkoRefiner; a registered backend
+  // on another engine exposes no history.
   if (const auto* rothko = dynamic_cast<const RothkoRefiner*>(backend.get())) {
     ColorId hist_colors = 0;
     for (const RothkoStep& s : rothko->history()) {

@@ -10,9 +10,10 @@
 namespace qsc {
 namespace {
 
-// The pool the calling thread is a worker of (nullptr on external
-// threads). Lets RunChunks detect reentrant submissions and degrade them
-// to inline execution instead of deadlocking on a fully-occupied pool.
+// The pool the calling thread is running chunks of: a worker's own pool,
+// or the pool a submitter is participating in (nullptr otherwise). Lets
+// RunChunks detect reentrant submissions and degrade them to inline
+// execution instead of deadlocking on a fully-occupied pool.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 }  // namespace
@@ -86,7 +87,13 @@ void ThreadPool::RunChunks(int64_t num_chunks,
   }
   work_cv_.notify_all();
 
-  job->RunClaimedChunks();  // the submitter participates
+  // The submitter participates, and while it runs chunks it counts as a
+  // worker: a nested RunChunks from one of its chunks runs inline and in
+  // order, as it would on a worker.
+  const ThreadPool* const outer_pool = tls_worker_pool;
+  tls_worker_pool = this;
+  job->RunClaimedChunks();
+  tls_worker_pool = outer_pool;
 
   {
     std::unique_lock<std::mutex> lock(job->done_mutex);

@@ -17,9 +17,10 @@
 // calling thread claim chunk indices from a shared atomic counter, and the
 // call returns when every chunk has run. Multiple threads may submit jobs
 // to one pool concurrently (the Compressor does this when distinct specs
-// refine in parallel); a submission from *inside* a pool worker runs
-// inline on that worker, so nested parallelism degrades to sequential
-// execution instead of deadlocking.
+// refine in parallel); a submission from *inside* a chunk — on a pool
+// worker or on the submitter running its own chunks — runs inline on
+// that thread, so nested parallelism degrades to sequential execution
+// instead of deadlocking.
 
 #ifndef QSC_PARALLEL_THREAD_POOL_H_
 #define QSC_PARALLEL_THREAD_POOL_H_
@@ -54,12 +55,14 @@ class ThreadPool {
   // ordered-commit primitives in parallel_for.h rely on. `fn` must not
   // throw (the library reports errors via Status, never exceptions).
   //
-  // Reentrant calls from a worker of this pool run all chunks inline on
-  // that worker, in index order.
+  // Reentrant calls from inside a chunk of this pool (on a worker or on
+  // the submitting thread) run all chunks inline on that thread, in index
+  // order.
   void RunChunks(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
-  // True when the calling thread is a worker of this pool (i.e. a
-  // RunChunks here would execute inline).
+  // True when the calling thread is a worker of this pool or is running
+  // chunks of it as a submitter (i.e. a RunChunks here would execute
+  // inline).
   bool InWorker() const;
 
  private:

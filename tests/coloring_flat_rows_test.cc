@@ -1,7 +1,7 @@
 // Unit tests for the Rothko hot-path containers (flat_rows.h): sorted-row
 // invariants of FlatWeightRows (insert/accumulate/erase with the zero
-// tolerance) and epoch semantics of EpochScratch (O(1) reuse, freshness
-// reporting, touched-key ordering).
+// tolerance, rows moving within the shared arena) and epoch semantics of
+// EpochScratch (O(1) reuse, freshness reporting, touched-key ordering).
 
 #include "qsc/coloring/flat_rows.h"
 
@@ -30,9 +30,9 @@ TEST(FlatWeightRowsTest, AddInsertsSortedAndAccumulates) {
 
   EXPECT_DOUBLE_EQ(rows.WeightOrZero(0, 9), 3.0);
   EXPECT_DOUBLE_EQ(rows.WeightOrZero(0, 7), 0.0);
-  EXPECT_EQ(rows.Find(0, 7), nullptr);
-  ASSERT_NE(rows.Find(0, 2), nullptr);
-  EXPECT_DOUBLE_EQ(rows.Find(0, 2)->weight, 2.0);
+  EXPECT_EQ(rows.FindWeight(0, 7), nullptr);
+  ASSERT_NE(rows.FindWeight(0, 2), nullptr);
+  EXPECT_DOUBLE_EQ(*rows.FindWeight(0, 2), 2.0);
 }
 
 TEST(FlatWeightRowsTest, SubtractErasesOnResidue) {
@@ -41,7 +41,7 @@ TEST(FlatWeightRowsTest, SubtractErasesOnResidue) {
   rows.Add(0, 3, 1.25);
   rows.Add(0, 4, 2.0);
   rows.Subtract(0, 3, 1.25);  // exact cancel -> erased
-  EXPECT_EQ(rows.Find(0, 3), nullptr);
+  EXPECT_EQ(rows.FindWeight(0, 3), nullptr);
   ASSERT_EQ(rows.RowOf(0).size(), 1u);
   EXPECT_EQ(rows.RowOf(0)[0].key, 4);
 
@@ -58,13 +58,13 @@ TEST(FlatWeightRowsTest, SubtractFromAbsentEntryMaterializesNegation) {
   rows.Add(0, 2, 1.0);
   rows.Add(0, 1, 1.0);
   rows.Add(0, 1, -1.0);  // cancels -> entry for key 1 dropped
-  EXPECT_EQ(rows.Find(0, 1), nullptr);
+  EXPECT_EQ(rows.FindWeight(0, 1), nullptr);
 
   rows.Subtract(0, 1, 1.0);
   EXPECT_DOUBLE_EQ(rows.WeightOrZero(0, 1), -1.0);
   EXPECT_DOUBLE_EQ(rows.WeightOrZero(0, 2), 1.0);  // neighbor untouched
   rows.Subtract(0, 3, 1e-13);  // within tolerance: stays absent
-  EXPECT_EQ(rows.Find(0, 3), nullptr);
+  EXPECT_EQ(rows.FindWeight(0, 3), nullptr);
 }
 
 TEST(FlatWeightRowsTest, AddWithinToleranceDoesNotCreateEntry) {
@@ -86,6 +86,30 @@ TEST(FlatWeightRowsTest, ResetClearsAllRows) {
   rows.Reset(3);
   EXPECT_TRUE(rows.RowOf(0).empty());
   EXPECT_TRUE(rows.RowOf(2).empty());
+}
+
+TEST(FlatWeightRowsTest, RowsOutgrowingTheirCapacityMoveIntact) {
+  // Rows share one arena; a full row moves to its end without disturbing
+  // its neighbors' ranges.
+  FlatWeightRows rows;
+  rows.Reset(3, [](NodeId v) { return v == 1 ? 2 : 1; });
+  rows.Add(1, 4, 1.0);
+  rows.Add(1, 2, 2.0);  // row 1 is full
+  rows.Add(0, 7, 3.0);  // row 0 is full
+  rows.Add(2, 1, 5.0);
+  rows.Add(1, 3, 4.0);  // row 1 moves
+  rows.Add(0, 5, 6.0);  // row 0 moves
+
+  const std::vector<std::vector<RowEntry>> expected = {
+      {{5, 6.0}, {7, 3.0}}, {{2, 2.0}, {3, 4.0}, {4, 1.0}}, {{1, 5.0}}};
+  for (NodeId v = 0; v < 3; ++v) {
+    const FlatWeightRows::Row row = rows.RowOf(v);
+    ASSERT_EQ(row.size(), expected[v].size()) << "row " << v;
+    for (size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row[i].key, expected[v][i].key) << "row " << v;
+      EXPECT_EQ(row[i].weight, expected[v][i].weight) << "row " << v;
+    }
+  }
 }
 
 TEST(EpochScratchTest, SlotsResetLogicallyAcrossEpochs) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -61,6 +62,34 @@ TEST(ParallelThreadPoolTest, ReentrantSubmissionRunsInlineInOrder) {
   });
   EXPECT_EQ(inner_total.load(), 8 * 4);
   EXPECT_EQ(ordered.load(), 1);
+}
+
+TEST(ParallelThreadPoolTest, SubmitterRunChunksNestInlineOnItsThread) {
+  // A nested RunChunks from a chunk the submitting thread runs must stay
+  // on that thread, as it does on a worker, even with idle workers. Four
+  // outer chunks on four threads: each worker holds its chunk until the
+  // submitter has entered one (so the submitter must claim one), then
+  // returns and goes idle while the submitter's inner chunks run.
+  ThreadPool pool(4);
+  constexpr int64_t kInner = 16;
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<bool> submitter_entered{false};
+  std::vector<std::thread::id> inner_thread(kInner);
+  pool.RunChunks(4, [&](int64_t) {
+    if (std::this_thread::get_id() != submitter) {
+      while (!submitter_entered.load()) std::this_thread::yield();
+      return;
+    }
+    submitter_entered.store(true);
+    pool.RunChunks(kInner, [&](int64_t inner) {
+      inner_thread[inner] = std::this_thread::get_id();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  });
+  ASSERT_TRUE(submitter_entered.load());
+  for (int64_t inner = 0; inner < kInner; ++inner) {
+    EXPECT_EQ(inner_thread[inner], submitter) << "inner chunk " << inner;
+  }
 }
 
 TEST(ParallelThreadPoolTest, ConcurrentExternalSubmissionsAllComplete) {
