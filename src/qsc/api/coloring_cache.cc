@@ -21,20 +21,17 @@ ColoringParams ToColoringParams(const ColoringSpec& spec, ThreadPool* pool) {
   return params;
 }
 
-// Builds the spec's live backend, wrapped in an IncrementalRecolorer so
-// edit batches can repair it in place (ApplyGraph). While the graph is
-// frozen the wrapper is pure delegation — bit-identical to the raw
-// backend. Aborts on unregistered names (the Compressor boundary
-// validates before a spec reaches the cache).
-std::unique_ptr<dynamic::IncrementalRecolorer> MakeBackend(
-    const GraphView& view, std::shared_ptr<const void> keepalive,
-    const ColoringSpec& spec, const std::optional<Partition>& base,
-    ThreadPool* pool) {
-  return std::make_unique<dynamic::IncrementalRecolorer>(
-      view, std::move(keepalive), api_internal::BackendOrDefault(spec.backend),
-      base.has_value() ? InitialPartition(spec, *base)
-                       : InitialPartition(spec, view.num_nodes()),
-      ToColoringParams(spec, pool));
+// Builds the spec's refiner over `view` from its initial partition.
+// Aborts on unknown backend names (the Compressor boundary validates
+// before a spec reaches the cache).
+std::unique_ptr<RothkoRefiner> MakeBackend(const GraphView& view,
+                                           const ColoringSpec& spec,
+                                           const std::optional<Partition>& base,
+                                           ThreadPool* pool) {
+  return MakeRefiner(api_internal::BackendOrDefault(spec.backend), view,
+                     base.has_value() ? InitialPartition(spec, *base)
+                                      : InitialPartition(spec, view.num_nodes()),
+                     ToColoringParams(spec, pool));
 }
 
 }  // namespace
@@ -85,17 +82,25 @@ Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
 }
 
 struct ColoringCache::Entry {
+  Entry(GraphView graph_view, std::shared_ptr<const void> graph_keepalive)
+      : view(std::move(graph_view)), keepalive(std::move(graph_keepalive)) {}
+
   // Serializes every read and write of the refinement fields below. Held
   // for the whole refinement of one request, so concurrent requests
   // against one spec queue behind each other while distinct specs proceed
   // in parallel.
   std::mutex mutex;
 
+  // The graph this entry's refiners run over, and what pins its storage.
+  // Set at insertion and by every ApplyGraph, refined entry or not, so a
+  // refiner is never built over a graph an edit batch has replaced.
+  GraphView view;
+  std::shared_ptr<const void> keepalive;
+
   // Built lazily under `mutex` on first use, so inserting the map slot
   // (under the cache-wide unique lock) stays O(1) and never blocks other
-  // specs behind a graph scan. The wrapper holds the spec's backend and
-  // gives ApplyGraph its repair verb.
-  std::unique_ptr<dynamic::IncrementalRecolorer> refiner;
+  // specs behind a graph scan.
+  std::unique_ptr<RothkoRefiner> refiner;
 
   // Colors of the spec's initial partition (pins + 1); no budget can go
   // below this, exactly as in RothkoRefiner::Run().
@@ -211,17 +216,9 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   // eviction scan — it runs under the unique lock and skips active
   // entries — from dropping an entry a request is about to refine.
   std::shared_ptr<Entry> entry;
-  // The graph view this request refines against (plus the keepalive that
-  // pins its storage), snapshotted under the map lock (never under an
-  // entry mutex — ApplyGraph holds the map lock while acquiring entry
-  // mutexes, so the reverse order would deadlock).
-  GraphView view;
-  std::shared_ptr<const void> keepalive;
   bool found = true;
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    view = view_;
-    keepalive = keepalive_;
     const auto it = entries_.find(spec);
     if (it != entries_.end()) {
       entry = it->second;
@@ -230,10 +227,8 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   }
   if (entry == nullptr) {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    view = view_;
-    keepalive = keepalive_;
     const auto [it, inserted] = entries_.try_emplace(spec, nullptr);
-    if (inserted) it->second = std::make_shared<Entry>();
+    if (inserted) it->second = std::make_shared<Entry>(view_, keepalive_);
     found = !inserted;
     entry = it->second;
     entry->active.fetch_add(1, std::memory_order_relaxed);
@@ -253,7 +248,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     if (entry->refiner == nullptr) {
-      entry->refiner = MakeBackend(view, keepalive, spec, base_, pool_);
+      entry->refiner = MakeBackend(entry->view, spec, base_, pool_);
       entry->initial_colors = entry->refiner->partition().num_colors();
     }
 
@@ -272,12 +267,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         handle.partition = served->second.first;
         handle.max_error = served->second.second;
       } else {
-        std::unique_ptr<dynamic::IncrementalRecolorer> fresh =
-            MakeBackend(view, keepalive, spec, base_, pool_);
+        const std::unique_ptr<RothkoRefiner> fresh =
+            MakeBackend(entry->view, spec, base_, pool_);
         const ColorId initial = fresh->partition().num_colors();
-        while (fresh->partition().num_colors() < budget &&
-               fresh->Step(budget)) {
-        }
+        fresh->RefineTo(budget);
         handle.splits = fresh->partition().num_colors() - initial;
         if (found) outcome = Outcome::kRecoloring;
         handle.partition =
@@ -291,11 +284,8 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       // run at `budget`.
       handle.cache_hit = found;
       const ColorId before = entry->refiner->partition().num_colors();
-      while (!entry->converged &&
-             entry->refiner->partition().num_colors() < budget) {
-        if (!entry->refiner->Step(budget)) {
-          entry->converged = true;
-        }
+      if (!entry->converged && !entry->refiner->RefineTo(budget)) {
+        entry->converged = true;
       }
       handle.splits = entry->refiner->partition().num_colors() - before;
       if (handle.splits > 0 || entry->head == nullptr) {
@@ -356,13 +346,27 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
     keepalive_ = graph_;
     for (auto& [spec, entry] : entries_) {
       std::lock_guard<std::mutex> entry_lock(entry->mutex);
-      if (entry->refiner == nullptr) {
-        // Never refined: nothing to repair. The next Refine() builds it
-        // over the new graph.
-        continue;
-      }
-      const dynamic::RepairOutcome outcome =
-          entry->refiner->ApplyGraph(graph_, edits, options);
+      // Every entry moves to the new graph, refined or not. The old
+      // keepalive pins the graph the old refiner reads until the refiner
+      // is replaced below.
+      const std::shared_ptr<const void> old_graph =
+          std::exchange(entry->keepalive, keepalive_);
+      entry->view = view_;
+      // Never refined: nothing to repair. The next Refine() builds it
+      // over the new graph.
+      if (entry->refiner == nullptr) continue;
+      const std::string& backend_name =
+          api_internal::BackendOrDefault(spec.backend);
+      dynamic::RepairOutcome outcome;
+      std::unique_ptr<RothkoRefiner> repaired = dynamic::TryRepair(
+          backend_name, view_, entry->refiner->partition(),
+          ToColoringParams(spec, pool_), options, &outcome);
+      // Fallback: rebuild from the spec's initial partition, as the entry
+      // was first built. Refinement from here is bit-identical to a
+      // from-scratch run on the new graph.
+      entry->refiner = repaired != nullptr
+                           ? std::move(repaired)
+                           : MakeBackend(view_, spec, base_, pool_);
       entry->converged = outcome.converged;
       // Snapshots of the old graph's colorings must not be served again.
       entry->head = nullptr;
@@ -374,8 +378,7 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
       } else {
         ++result.fallbacks;
       }
-      attributions.emplace_back(api_internal::BackendOrDefault(spec.backend),
-                                outcome.repaired);
+      attributions.emplace_back(backend_name, outcome.repaired);
       const int64_t new_bytes = entry->MemoryBytes();
       total_bytes_ += new_bytes - entry->bytes;
       entry->bytes = new_bytes;

@@ -82,9 +82,10 @@ struct ColoringSpec {
 
   // Canonical name of the compression backend (coloring/backend.h); ""
   // means kDefaultColoringBackend and compares/hashes identically to it,
-  // so pre-registry specs keep their cache identity. The cache requires
-  // the name be a CanonicalBackendName fixpoint of a registered backend;
-  // qsc::Compressor validates and canonicalizes at the API boundary.
+  // so pre-backend specs keep their cache identity. The cache requires
+  // the name be a CanonicalBackendName fixpoint that IsBackendName
+  // accepts; qsc::Compressor validates and canonicalizes at the API
+  // boundary.
   std::string backend;
 
   // Nodes seeded into their own singleton colors: pinned[i] is labeled i
@@ -224,7 +225,7 @@ class ColoringCache {
   // convergence, whichever comes first; budgets below the spec's initial
   // color count serve the initial partition, like RothkoRefiner::Run()).
   // Contract violations (unvalidated pins, non-positive budget, an
-  // unregistered or non-canonical spec.backend) abort; qsc::Compressor
+  // unknown or non-canonical spec.backend) abort; qsc::Compressor
   // validates at the API boundary. The result is bit-identical to a fresh
   // run of the spec's backend from InitialPartition(spec, n) stepped to
   // `budget` colors (InitialPartition(spec, base) on a cache with a base
@@ -234,7 +235,7 @@ class ColoringCache {
   //                   spec.split_mean})
   // — regardless of which budgets were served before and of concurrent
   // callers (every backend honors the determinism contract of
-  // coloring/backend.h).
+  // RothkoRefiner, coloring/rothko.h).
   Handle Refine(const ColoringSpec& spec, ColorId budget);
 
   // Aggregate outcome of one ApplyGraph call.
@@ -247,16 +248,21 @@ class ColoringCache {
 
   // Dynamic serving (docs/DYNAMIC.md): swaps in the already-mutated graph
   // (`edits` is the batch that produced it) and repairs every live entry
-  // in place via IncrementalRecolorer::ApplyGraph — tolerance-bounded
-  // specs are re-split locally under `options.max_repair_splits`,
-  // everything else resets for a from-scratch recoloring that later
-  // Refine() calls perform lazily and bit-identically to a fresh cache
-  // over the new graph. Served snapshots of the old graph are dropped.
+  // via dynamic::TryRepair — tolerance-bounded specs are re-split locally
+  // under `options.max_repair_splits`, everything else resets for a
+  // from-scratch recoloring that later Refine() calls perform lazily and
+  // bit-identically to a fresh cache over the new graph. Served snapshots
+  // of the old graph are dropped.
   //
-  // Takes the cache-wide unique lock for the whole call, so it serializes
-  // against every Refine(); qsc::Compressor additionally guarantees no
-  // query is mid-flight (its session lock), which keeps a query's
-  // coloring and solve on one graph version.
+  // Holds the cache-wide unique lock for the whole call, so no Refine()
+  // looks up or inserts an entry meanwhile, and moves every entry —
+  // refined or not — to the new graph under that entry's mutex. A
+  // Refine() already refining under its entry mutex therefore finishes on
+  // the old graph; every later refinement, including the first one of an
+  // entry inserted just before the batch, runs over the new graph.
+  // qsc::Compressor additionally guarantees no query is mid-flight (its
+  // session lock), which keeps a query's coloring and solve on one graph
+  // version.
   EditApplyStats ApplyGraph(std::shared_ptr<const Graph> new_graph,
                             const std::vector<dynamic::EditOp>& edits,
                             const dynamic::RepairOptions& options);
@@ -287,7 +293,7 @@ class ColoringCache {
   // evicts LRU idle entries while the total exceeds the budget.
   void FinishUse(const std::shared_ptr<Entry>& entry, int64_t new_bytes);
 
-  // The serving substrate: every refiner is built over view_, and
+  // The serving substrate: every new entry starts over view_, and
   // keepalive_ pins its backing storage (the owning graph_ or a mapped
   // file). graph_ is null for view-backed caches until ApplyGraph swaps
   // in an owning mutated graph. All three are guarded by mutex_.

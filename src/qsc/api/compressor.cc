@@ -47,17 +47,15 @@ Status ValidateCommonOptions(const QueryOptions& options) {
 }
 
 // The backend half of the boundary contract (docs/API.md "Backends"):
-// canonicalize, then check registration. Malformed names are
-// InvalidArgument (the request can never be valid); well-formed names
-// nobody registered are NotFound (the request might be valid against a
-// process with that backend linked in).
+// canonicalize, then check the name. Malformed names are InvalidArgument
+// (the request can never be valid); well-formed unknown names are
+// NotFound.
 StatusOr<std::string> ValidateBackend(const std::string& name) {
   StatusOr<std::string> canonical = CanonicalBackendName(name);
   if (!canonical.ok()) return canonical.status();
-  const ColoringBackendRegistry& registry = ColoringBackendRegistry::Global();
-  if (!registry.Contains(*canonical)) {
+  if (!IsBackendName(*canonical)) {
     std::string registered;
-    for (const std::string& n : registry.Names()) {
+    for (const std::string& n : BackendNames()) {
       registered += registered.empty() ? n : ", " + n;
     }
     return Status::NotFound("unknown coloring backend \"" + *canonical +

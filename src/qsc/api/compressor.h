@@ -81,11 +81,10 @@ struct QueryOptions {
   RothkoOptions::SplitMean split_mean = RothkoOptions::SplitMean::kArithmetic;
 
   // Compression backend that produces the coloring (coloring/backend.h):
-  // "rothko", "lp-rounding", "bucket", or any registered name. "" means
+  // "rothko", "lp-rounding" or "bucket". "" means
   // kDefaultColoringBackend. Names are canonicalized (trimmed, lowercased)
   // at the boundary and become part of the coloring cache key; a malformed
-  // name yields InvalidArgument, a well-formed but unregistered one
-  // NotFound. Applies to all four query kinds (SolveLp colors the LP's
+  // name yields InvalidArgument, a well-formed but unknown one NotFound. Applies to all four query kinds (SolveLp colors the LP's
   // matrix graph with it).
   std::string backend;
 

@@ -1,4 +1,4 @@
-// The "backends" scenario group: every registered compression backend
+// The "backends" scenario group: every compression backend
 // refined over one shared instance, emitting a small Pareto front (colors
 // reached vs. max q-error at each budget rung) per backend. The counters
 // pin each kernel's split decisions — a kernel change that moves any
@@ -31,7 +31,7 @@ void RegisterParetoBa10k() {
   info.name = "backends/pareto-ba-10k";
   info.group = "backends";
   info.description =
-      "all registered coloring backends swept over color budgets "
+      "all coloring backends swept over color budgets "
       "{16,32,64} on a 10k-node Barabasi-Albert graph; per-backend "
       "colors/q-error Pareto counters";
   info.smoke = true;
@@ -40,9 +40,7 @@ void RegisterParetoBa10k() {
         Rng rng(ctx.seed ^ kBackendInstanceSalt);
         const Graph g = BarabasiAlbert(10000, 3, rng);
 
-        const ColoringBackendRegistry& registry =
-            ColoringBackendRegistry::Global();
-        const std::vector<std::string> names = registry.Names();
+        const std::vector<std::string> names = BackendNames();
 
         ScenarioResult r;
         r.params = {{"nodes", static_cast<double>(g.num_nodes())},
@@ -52,14 +50,10 @@ void RegisterParetoBa10k() {
         r.timing = MeasureSeconds(ctx.measure, [&] {
           r.counters.clear();
           for (const std::string& name : names) {
-            ColoringParams params;
-            std::unique_ptr<ColoringBackend> backend =
-                registry.Create(name, g, Partition::Trivial(g.num_nodes()),
-                                params);
+            const std::unique_ptr<RothkoRefiner> backend = MakeRefiner(
+                name, g, Partition::Trivial(g.num_nodes()), ColoringParams());
             for (const ColorId budget : kBudgets) {
-              while (backend->partition().num_colors() < budget &&
-                     backend->Step(budget)) {
-              }
+              backend->RefineTo(budget);
               r.counters.emplace_back(
                   name + "_colors_" + std::to_string(budget),
                   static_cast<double>(backend->partition().num_colors()));

@@ -1,15 +1,10 @@
 #include "qsc/coloring/backend.h"
 
-#include <algorithm>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "qsc/coloring/bucket.h"
 #include "qsc/coloring/lp_rounding.h"
-#include "qsc/coloring/rothko.h"
 #include "qsc/util/check.h"
 
 namespace qsc {
@@ -29,12 +24,35 @@ bool IsNameChar(char c, bool first) {
   return first ? alnum : alnum || c == '_' || c == '-';
 }
 
-// Every builtin runs Rothko's engine; max_colors only drives
-// RothkoRefiner::Run, which the registry's callers never use.
-RothkoOptions EngineOptions(const ColoringParams& params) {
-  RothkoOptions options;
-  static_cast<ColoringParams&>(options) = params;
-  return options;
+struct Backend {
+  const char* name;
+  std::unique_ptr<RothkoRefiner> (*make)(const GraphView& g, Partition initial,
+                                         const RothkoOptions& options);
+};
+
+// The backends, sorted by name: the one place a name picks a split rule.
+constexpr Backend kBackends[] = {
+    {"bucket",
+     [](const GraphView& g, Partition initial, const RothkoOptions& options) {
+       return std::make_unique<RothkoRefiner>(g, std::move(initial), options,
+                                              MakeBucketRule(g));
+     }},
+    {"lp-rounding",
+     [](const GraphView& g, Partition initial, const RothkoOptions& options) {
+       return std::make_unique<RothkoRefiner>(g, std::move(initial), options,
+                                              MakeLpRoundingRule());
+     }},
+    {"rothko",
+     [](const GraphView& g, Partition initial, const RothkoOptions& options) {
+       return std::make_unique<RothkoRefiner>(g, std::move(initial), options);
+     }},
+};
+
+const Backend* FindBackend(const std::string& canonical_name) {
+  for (const Backend& backend : kBackends) {
+    if (canonical_name == backend.name) return &backend;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -65,105 +83,26 @@ StatusOr<std::string> CanonicalBackendName(const std::string& name) {
   return canonical;
 }
 
-class ColoringBackendRegistry::Impl {
- public:
-  struct Entry {
-    std::string description;
-    ColoringBackendFactory factory;
-  };
-
-  // std::map keeps Names() sorted for free.
-  mutable std::shared_mutex mutex;
-  std::map<std::string, Entry> entries;
-};
-
-ColoringBackendRegistry::Impl* ColoringBackendRegistry::impl() const {
-  static Impl* impl = new Impl();  // leaked: registry lives forever
-  return impl;
-}
-
-ColoringBackendRegistry& ColoringBackendRegistry::Global() {
-  static ColoringBackendRegistry* global = [] {
-    auto* registry = new ColoringBackendRegistry();
-    registry->Register(
-        "rothko",
-        "paper Algorithm 1: size-weighted worst-witness splits at the mean",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::make_unique<RothkoRefiner>(g, std::move(initial),
-                                                 EngineOptions(params));
-        });
-    registry->Register(
-        "lp-rounding",
-        "witness splits as assignment LPs solved by simplex, then rounded",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::make_unique<RothkoRefiner>(
-              g, std::move(initial), EngineOptions(params),
-              MakeLpRoundingRule());
-        });
-    registry->Register(
-        "bucket",
-        "weighted-degree bucketing at the median rank (cheap baseline)",
-        [](const GraphView& g, Partition initial, const ColoringParams& params) {
-          return std::make_unique<RothkoRefiner>(
-              g, std::move(initial), EngineOptions(params), MakeBucketRule(g));
-        });
-    return registry;
-  }();
-  return *global;
-}
-
-void ColoringBackendRegistry::Register(std::string name,
-                                       std::string description,
-                                       ColoringBackendFactory factory) {
-  QSC_CHECK(factory != nullptr);
-  const StatusOr<std::string> canonical = CanonicalBackendName(name);
-  QSC_CHECK(canonical.ok());
-  QSC_CHECK(*canonical == name);  // registration names must be canonical
-  Impl* i = impl();
-  std::unique_lock lock(i->mutex);
-  const auto [it, inserted] = i->entries.try_emplace(
-      std::move(name),
-      Impl::Entry{std::move(description), std::move(factory)});
-  QSC_CHECK(inserted);  // duplicate backend registration
-  (void)it;
-}
-
-bool ColoringBackendRegistry::Contains(
-    const std::string& canonical_name) const {
-  Impl* i = impl();
-  std::shared_lock lock(i->mutex);
-  return i->entries.count(canonical_name) > 0;
-}
-
-std::unique_ptr<ColoringBackend> ColoringBackendRegistry::Create(
-    const std::string& canonical_name, const GraphView& g, Partition initial,
-    const ColoringParams& params) const {
-  ColoringBackendFactory factory;
-  {
-    Impl* i = impl();
-    std::shared_lock lock(i->mutex);
-    const auto it = i->entries.find(canonical_name);
-    QSC_CHECK(it != i->entries.end());  // boundary validates first
-    factory = it->second.factory;
-  }
-  return factory(g, std::move(initial), params);
-}
-
-std::vector<std::string> ColoringBackendRegistry::Names() const {
-  Impl* i = impl();
-  std::shared_lock lock(i->mutex);
+std::vector<std::string> BackendNames() {
   std::vector<std::string> names;
-  names.reserve(i->entries.size());
-  for (const auto& [name, entry] : i->entries) names.push_back(name);
+  for (const Backend& backend : kBackends) names.push_back(backend.name);
   return names;
 }
 
-std::string ColoringBackendRegistry::Description(
-    const std::string& canonical_name) const {
-  Impl* i = impl();
-  std::shared_lock lock(i->mutex);
-  const auto it = i->entries.find(canonical_name);
-  return it == i->entries.end() ? std::string() : it->second.description;
+bool IsBackendName(const std::string& canonical_name) {
+  return FindBackend(canonical_name) != nullptr;
+}
+
+std::unique_ptr<RothkoRefiner> MakeRefiner(const std::string& canonical_name,
+                                           const GraphView& g,
+                                           Partition initial,
+                                           const ColoringParams& params) {
+  const Backend* backend = FindBackend(canonical_name);
+  QSC_CHECK(backend != nullptr);  // the boundary validates first
+  // max_colors only drives RothkoRefiner::Run; the caller owns the budget.
+  RothkoOptions options;
+  static_cast<ColoringParams&>(options) = params;
+  return backend->make(g, std::move(initial), options);
 }
 
 }  // namespace qsc

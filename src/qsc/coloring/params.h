@@ -1,11 +1,11 @@
 // The coloring parameters shared by every compression backend.
 //
 // Historically these knobs were duplicated across RothkoOptions,
-// LpReduceOptions, and QueryOptions; the backend registry (backend.h)
-// needs one canonical struct that any kernel can consume, so they live
-// here and the per-algorithm option structs derive from it (the structs
-// stay thin aliases — every existing call site that assigns
-// `options.alpha = ...` compiles unchanged).
+// LpReduceOptions, and QueryOptions; MakeRefiner (backend.h) needs one
+// canonical struct that every backend consumes, so they live here and
+// the per-algorithm option structs derive from it (the structs stay thin
+// aliases — every existing call site that assigns `options.alpha = ...`
+// compiles unchanged).
 
 #ifndef QSC_COLORING_PARAMS_H_
 #define QSC_COLORING_PARAMS_H_
@@ -28,7 +28,7 @@ enum class SplitMean {
 
 // Everything that parameterizes a coloring kernel besides the graph, the
 // initial partition, and the color budget (the budget is owned by the
-// caller's refinement loop — see ColoringBackend::Step).
+// caller's refinement loop — see RothkoRefiner::RefineTo).
 struct ColoringParams {
   // Witness weighting C_ij = |P_i|^alpha * |P_j|^beta (paper Sec 5.2:
   // alpha=beta=0 for max-flow, alpha=1 beta=0 for LPs, alpha=beta=1 for

@@ -117,11 +117,14 @@ class RothkoRefiner::Impl {
     return true;
   }
 
-  void Run() {
-    while (partition_.num_colors() < options_.max_colors &&
-           Step(options_.max_colors)) {
+  bool RefineTo(ColorId budget) {
+    while (partition_.num_colors() < budget) {
+      if (!Step(budget)) return false;
     }
+    return true;
   }
+
+  void Run() { RefineTo(options_.max_colors); }
 
   const Partition& partition() const { return partition_; }
 
@@ -595,6 +598,9 @@ RothkoRefiner::RothkoRefiner(const GraphView& g, Partition initial,
 RothkoRefiner::~RothkoRefiner() = default;
 
 bool RothkoRefiner::Step(ColorId color_cap) { return impl_->Step(color_cap); }
+bool RothkoRefiner::RefineTo(ColorId budget) {
+  return impl_->RefineTo(budget);
+}
 void RothkoRefiner::Run() { impl_->Run(); }
 const Partition& RothkoRefiner::partition() const {
   return impl_->partition();

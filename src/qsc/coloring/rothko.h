@@ -20,7 +20,7 @@
 // max-heaps, so building a k-color refinement does not rescan the graph k
 // times.
 //
-// This engine drives every registered backend (coloring/backend.h). What
+// This engine drives every compression backend (coloring/backend.h). What
 // differs between backends is only the split rule: given the worst
 // witness, which members move into the new color. Rothko's rule cuts at
 // the witness mean; lp-rounding (lp_rounding.h) and bucket (bucket.h)
@@ -34,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "qsc/coloring/backend.h"
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/graph/graph_view.h"
@@ -119,17 +118,38 @@ class SplitRule {
 };
 
 // Incremental refiner; use RothkoColoring() unless you need the anytime /
-// co-routine interface. Registered as the `rothko` compression backend
-// (coloring/backend.h), and, with their split rules, as `lp-rounding` and
-// `bucket`.
-class RothkoRefiner : public ColoringBackend {
+// co-routine interface. MakeRefiner (coloring/backend.h) builds one per
+// backend name: `rothko` with the mean cut, `lp-rounding` and `bucket`
+// with their split rules.
+//
+// The anytime contract the session-level ColoringCache relies on:
+//
+//   1. Monotone Step(): each call performs at least one witness split and
+//      CurrentMaxError() never increases across uncapped calls; Step
+//      returns false (leaving the partition unchanged) only when the
+//      coloring converged (max error <= q_tolerance, or no splittable
+//      color remains).
+//   2. Determinism: the split sequence is a function of (graph, current
+//      partition, options, rule) only — independent of wall clock, thread
+//      pool size, and of how Step() calls were batched. This is what makes
+//      a budget-B continuation of a cached instance bit-identical to a
+//      fresh run at budget B, the ColoringCache resume guarantee.
+//   3. partition() snapshots are valid partitions of the graph's node set
+//      and refine monotonically (colors only split, never merge), so
+//      pinned singletons stay pinned.
+//   4. MemoryBytes() approximates the live heap footprint for the
+//      byte-budgeted cache's eviction accounting.
+//
+// The refiner reads the graph through a non-owning GraphView: whoever
+// holds it keeps the viewed storage alive for the refiner's lifetime.
+class RothkoRefiner {
  public:
   // Splits by Rothko's rule: at the witness mean (options.split_mean),
   // or strictly above the minimum when the mean rounds onto an extreme.
   RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options);
   RothkoRefiner(const GraphView& g, Partition initial, RothkoOptions options,
                 std::unique_ptr<SplitRule> rule);
-  ~RothkoRefiner() override;
+  ~RothkoRefiner();
 
   RothkoRefiner(const RothkoRefiner&) = delete;
   RothkoRefiner& operator=(const RothkoRefiner&) = delete;
@@ -150,15 +170,21 @@ class RothkoRefiner : public ColoringBackend {
   // partition reaches `color_cap` colors the step stops even if the error
   // has not yet recovered. At least one split is always performed. Ignores
   // options.max_colors; the caller owns that stopping rule.
-  bool Step(ColorId color_cap = 0) override;
+  bool Step(ColorId color_cap = 0);
 
-  // Runs Step() until convergence or options.max_colors colors.
+  // The anytime loop: Step(budget) until the partition holds `budget`
+  // colors. Returns false once Step reports convergence (larger budgets
+  // cannot advance the coloring either); a budget at or below the current
+  // color count performs no split.
+  bool RefineTo(ColorId budget);
+
+  // RefineTo(options.max_colors).
   void Run();
 
-  const Partition& partition() const override;
+  const Partition& partition() const;
 
   // Maximum unweighted q-error of the current coloring, both directions.
-  double CurrentMaxError() const override;
+  double CurrentMaxError() const;
 
   const std::vector<RothkoStep>& history() const;
 
@@ -167,7 +193,7 @@ class RothkoRefiner : public ColoringBackend {
   // Capacities are counted where accessible, element counts where not
   // (the heaps), so the number is a close lower bound on the allocator's
   // view. Used by the byte-budgeted ColoringCache to decide eviction.
-  int64_t MemoryBytes() const override;
+  int64_t MemoryBytes() const;
 
  private:
   class Impl;

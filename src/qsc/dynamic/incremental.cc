@@ -1,127 +1,49 @@
 #include "qsc/dynamic/incremental.h"
 
-#include <unordered_set>
-#include <utility>
-
-#include "qsc/util/check.h"
+#include "qsc/coloring/backend.h"
 
 namespace qsc {
 namespace dynamic {
-namespace {
 
-GraphView ViewOfNonNull(const std::shared_ptr<const Graph>& graph) {
-  QSC_CHECK(graph != nullptr);
-  return GraphView(*graph);
-}
+std::unique_ptr<RothkoRefiner> TryRepair(const std::string& backend,
+                                         const GraphView& g,
+                                         const Partition& current,
+                                         const ColoringParams& params,
+                                         const RepairOptions& options,
+                                         RepairOutcome* outcome) {
+  *outcome = RepairOutcome();
+  const double tolerance = params.q_tolerance;
+  // q_tolerance == 0 specs always fall back.
+  if (tolerance <= 0.0) return nullptr;
 
-}  // namespace
-
-IncrementalRecolorer::IncrementalRecolorer(std::shared_ptr<const Graph> graph,
-                                           std::string backend,
-                                           Partition initial,
-                                           const ColoringParams& params)
-    : IncrementalRecolorer(ViewOfNonNull(graph),
-                           std::shared_ptr<const void>(graph),
-                           std::move(backend), std::move(initial), params) {}
-
-IncrementalRecolorer::IncrementalRecolorer(GraphView view,
-                                           std::shared_ptr<const void> keepalive,
-                                           std::string backend,
-                                           Partition initial,
-                                           const ColoringParams& params)
-    : view_(std::move(view)),
-      keepalive_(std::move(keepalive)),
-      backend_(std::move(backend)),
-      initial_(std::move(initial)),
-      params_(params) {
-  impl_ = ColoringBackendRegistry::Global().Create(backend_, view_, initial_,
-                                                   params_);
-}
-
-bool IncrementalRecolorer::Step(ColorId color_cap) {
-  return impl_->Step(color_cap);
-}
-
-const Partition& IncrementalRecolorer::partition() const {
-  return impl_->partition();
-}
-
-double IncrementalRecolorer::CurrentMaxError() const {
-  return impl_->CurrentMaxError();
-}
-
-int64_t IncrementalRecolorer::MemoryBytes() const {
-  return static_cast<int64_t>(sizeof(*this)) + initial_.MemoryBytes() +
-         impl_->MemoryBytes();
-}
-
-RepairOutcome IncrementalRecolorer::ApplyGraph(
-    std::shared_ptr<const Graph> graph, const std::vector<EditOp>& edits,
-    const RepairOptions& options) {
-  QSC_CHECK(graph != nullptr);
-  RepairOutcome out;
-
-  // The witness rows the batch invalidated: distinct pre-edit colors with
-  // an edited endpoint. Telemetry for now — rebuilding the kernel from
-  // the current partition re-derives every row against the new adjacency,
-  // and the repair loop respends splits only where the error rose.
-  {
-    const Partition& p = impl_->partition();
-    std::unordered_set<ColorId> dirty;
-    for (const EditOp& op : edits) {
-      for (const NodeId v : {op.src, op.dst}) {
-        if (v >= 0 && v < p.num_nodes()) dirty.insert(p.ColorOf(v));
-      }
+  // Continue from the pre-edit partition on the mutated graph and re-split
+  // until the spec's tolerance certificate is restored or the budget says
+  // the batch was too disruptive.
+  std::unique_ptr<RothkoRefiner> repaired =
+      MakeRefiner(backend, g, current, params);
+  bool converged = false;
+  int64_t splits = 0;
+  while (repaired->CurrentMaxError() > tolerance) {
+    if (splits >= options.max_repair_splits) break;
+    const ColorId before = repaired->partition().num_colors();
+    if (!repaired->Step(/*color_cap=*/0)) {
+      // Converged by the refiner's own rule; with no splittable color
+      // left the error cannot be above a positive tolerance, but guard
+      // against a rule that disagrees.
+      converged = true;
+      break;
     }
-    out.dirty_colors = static_cast<int64_t>(dirty.size());
+    splits += repaired->partition().num_colors() - before;
   }
-
-  view_ = GraphView(*graph);
-  keepalive_ = std::move(graph);
-  const double tolerance = params_.q_tolerance;
-  if (tolerance > 0.0) {
-    // Repair path: continue from the pre-edit partition on the mutated
-    // graph and re-split until the spec's tolerance certificate is
-    // restored or the budget says the batch was too disruptive.
-    auto repaired = ColoringBackendRegistry::Global().Create(
-        backend_, view_, impl_->partition(), params_);
-    bool kernel_converged = false;
-    while (repaired->CurrentMaxError() > tolerance) {
-      if (out.splits >= options.max_repair_splits) break;
-      const ColorId before = repaired->partition().num_colors();
-      if (!repaired->Step(/*color_cap=*/0)) {
-        // Converged by the kernel's own rule; with no splittable color
-        // left the error cannot be above a positive tolerance, but guard
-        // against kernels that disagree.
-        kernel_converged = true;
-        break;
-      }
-      out.splits += repaired->partition().num_colors() - before;
-    }
-    const bool restored = repaired->CurrentMaxError() <= tolerance;
-    if (restored || kernel_converged) {
-      impl_ = std::move(repaired);
-      out.repaired = true;
-      // Error at or under tolerance means any further Step would refuse
-      // to split; record convergence so cache budget loops skip it.
-      out.converged = true;
-      out.max_error = impl_->CurrentMaxError();
-      out.num_colors = impl_->partition().num_colors();
-      return out;
-    }
-    out.splits = 0;  // fallback: repair work is discarded
+  if (repaired->CurrentMaxError() > tolerance && !converged) {
+    return nullptr;  // fallback: the repair work is discarded
   }
-
-  // Fallback (and the only path for q_tolerance == 0 specs): reset to the
-  // spec's initial partition on the mutated graph. Refinement from here
-  // is bit-identical to a from-scratch run.
-  impl_ = ColoringBackendRegistry::Global().Create(backend_, view_, initial_,
-                                                   params_);
-  out.repaired = false;
-  out.converged = false;
-  out.max_error = impl_->CurrentMaxError();
-  out.num_colors = impl_->partition().num_colors();
-  return out;
+  outcome->repaired = true;
+  outcome->splits = splits;
+  // Error at or under tolerance means any further Step would refuse to
+  // split; record convergence so cache budget loops skip it.
+  outcome->converged = true;
+  return repaired;
 }
 
 }  // namespace dynamic

@@ -1,20 +1,13 @@
 // Incremental recoloring under graph edits (ROADMAP item 2; Slim Graph's
 // evolving-analytics case for lossy compression, PAPERS.md).
 //
-// An IncrementalRecolorer wraps any registered ColoringBackend and is
-// itself a ColoringBackend, so the session-level ColoringCache can hold
-// one per cached spec and keep its anytime-resume guarantee untouched:
-// while the graph is frozen every call delegates to the wrapped kernel,
-// bit-identical to using the kernel directly.
-//
-// ApplyGraph is the new verb. On an edit batch the witness rows of the
-// colors touched by the edits are stale; instead of discarding the
-// partition, the recolorer rebuilds the wrapped kernel over the mutated
-// graph *from the current partition* (witness rows re-derive against the
-// new adjacency; prior splits are kept) and re-splits until the spec's
-// q-tolerance is restored, under a repair split budget. Splits
-// concentrate where the edits raised the error — that is the locality of
-// the repair path.
+// On an edit batch the witness rows of the colors touched by the edits
+// are stale. Instead of discarding the partition, TryRepair builds the
+// backend's refiner over the mutated graph *from the current partition*
+// (witness rows re-derive against the new adjacency; prior splits are
+// kept) and re-splits until the spec's q-tolerance is restored, under a
+// repair split budget. Splits concentrate where the edits raised the
+// error — that is the locality of the repair path.
 //
 // Repair/fallback contract (docs/DYNAMIC.md; the differential oracle in
 // eval/differential.h gates it at zero tolerance):
@@ -25,10 +18,10 @@
 //     every budget served from it meets the same q-error bound a
 //     from-scratch coloring meets.
 //   - q_tolerance == 0 specs ("refine to the color budget") and repairs
-//     that exceed the split budget or stall fall back: the recolorer
-//     resets to the spec's initial partition on the mutated graph, and
-//     subsequent refinement is bit-identical to a from-scratch run (the
-//     backend determinism contract).
+//     that exceed the split budget or stall fall back: the caller rebuilds
+//     the refiner from the spec's initial partition on the mutated graph,
+//     so subsequent refinement is bit-identical to a from-scratch run (the
+//     determinism contract of RothkoRefiner).
 //
 // Either way the monotone q-error contract holds between edits, and the
 // served coloring is never worse than max(q_tolerance, scratch error).
@@ -39,13 +32,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "qsc/coloring/backend.h"
 #include "qsc/coloring/params.h"
 #include "qsc/coloring/partition.h"
-#include "qsc/dynamic/edit_stream.h"
-#include "qsc/graph/graph.h"
+#include "qsc/coloring/rothko.h"
 #include "qsc/graph/graph_view.h"
 
 namespace qsc {
@@ -53,73 +43,36 @@ namespace dynamic {
 
 struct RepairOptions {
   // Maximum splits one repair may spend before the edit batch is declared
-  // too disruptive and the recolorer falls back to scratch. The budget is
-  // checked between backend steps, so the final step may overshoot by its
+  // too disruptive and the caller falls back to scratch. The budget is
+  // checked between refiner steps, so the final step may overshoot by its
   // own error-recovery splits. 0 means "no repair work": any batch that
   // leaves the error above tolerance falls back.
   int64_t max_repair_splits = 256;
 };
 
 struct RepairOutcome {
-  // True when the partition was repaired in place (error back under the
-  // spec tolerance); false when the recolorer fell back to the initial
+  // True when the partition was repaired (error back under the spec
+  // tolerance); false when the caller must fall back to the initial
   // partition for a from-scratch recoloring.
   bool repaired = false;
   // Splits the repair spent (0 on fallback).
   int64_t splits = 0;
-  // Distinct colors of the pre-edit partition containing an edited
-  // endpoint — the witness rows the batch invalidated.
-  int64_t dirty_colors = 0;
-  // True when the wrapped kernel reported convergence during the repair
-  // (a converged entry stays converged until the next edit).
+  // True when the refiner converged during the repair (a converged entry
+  // stays converged until the next edit).
   bool converged = false;
-  double max_error = 0.0;
-  ColorId num_colors = 0;
 };
 
-class IncrementalRecolorer final : public ColoringBackend {
- public:
-  // `backend` must be a canonical registered name (the Compressor
-  // boundary validates); `initial` is the spec's initial partition (the
-  // pin structure), which fallbacks reset to. The wrapped kernel is built
-  // eagerly over `graph`.
-  IncrementalRecolorer(std::shared_ptr<const Graph> graph, std::string backend,
-                       Partition initial, const ColoringParams& params);
-
-  // View-backed variant (the mmap serving path): the kernel runs over
-  // `view`, and `keepalive` (may be null) pins whatever owns the viewed
-  // arrays — a MappedGraph, an owning Graph, or nothing when the caller
-  // guarantees the lifetime.
-  IncrementalRecolorer(GraphView view, std::shared_ptr<const void> keepalive,
-                       std::string backend, Partition initial,
-                       const ColoringParams& params);
-
-  // ColoringBackend: pure delegation to the wrapped kernel.
-  bool Step(ColorId color_cap = 0) override;
-  const Partition& partition() const override;
-  double CurrentMaxError() const override;
-  int64_t MemoryBytes() const override;
-
-  // Swaps in the already-mutated graph (`edits` is the batch that
-  // produced it, used only to identify the dirty colors) and repairs or
-  // falls back per the contract above. Not safe concurrently with Step;
-  // the ColoringCache serializes per entry.
-  RepairOutcome ApplyGraph(std::shared_ptr<const Graph> graph,
-                           const std::vector<EditOp>& edits,
-                           const RepairOptions& options);
-
-  // The graph the wrapped kernel currently runs over.
-  const GraphView& graph_view() const { return view_; }
-  const std::string& backend_name() const { return backend_; }
-
- private:
-  GraphView view_;
-  std::shared_ptr<const void> keepalive_;
-  std::string backend_;
-  Partition initial_;
-  ColoringParams params_;
-  std::unique_ptr<ColoringBackend> impl_;
-};
+// Tries to repair `current`, a coloring of the pre-edit graph, over the
+// already-mutated graph `g` with the canonical backend `backend` and the
+// spec's `params`, per the contract above. Returns the repaired refiner
+// over `g`, or null when the caller must fall back; `outcome` (not null)
+// reports which, and the splits spent.
+std::unique_ptr<RothkoRefiner> TryRepair(const std::string& backend,
+                                         const GraphView& g,
+                                         const Partition& current,
+                                         const ColoringParams& params,
+                                         const RepairOptions& options,
+                                         RepairOutcome* outcome);
 
 }  // namespace dynamic
 }  // namespace qsc

@@ -39,14 +39,13 @@ struct Checker {
   }
 };
 
-// Resolves a raw EvalOptions::backend to its registered canonical name;
+// Resolves a raw EvalOptions::backend to its canonical backend name;
 // an unresolvable name is a reported violation, not an abort, so a bad
 // --backend shows up in the differential report like any other finding.
 bool ResolveBackendName(const std::string& raw, std::string* canonical,
                         Checker& check) {
   const StatusOr<std::string> name = CanonicalBackendName(raw);
-  const bool ok =
-      name.ok() && ColoringBackendRegistry::Global().Contains(*name);
+  const bool ok = name.ok() && IsBackendName(*name);
   check.Expect(ok, "coloring/backend-registered",
                "'" + raw + "' does not name a registered coloring backend");
   if (ok) *canonical = *name;
@@ -57,12 +56,6 @@ bool ResolveBackendName(const std::string& raw, std::string* canonical,
 // shared_ptr constructor; the instance outlives the session here).
 std::shared_ptr<const Graph> Borrow(const Graph& g) {
   return std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g);
-}
-
-// Budget-capped anytime refinement — the ColoringCache's up-budget loop.
-void RefineTo(ColoringBackend& backend, ColorId budget) {
-  while (backend.partition().num_colors() < budget && backend.Step(budget)) {
-  }
 }
 
 bool SamePartition(const Partition& a, const Partition& b, NodeId n) {
@@ -129,9 +122,8 @@ void DifferentialRunner::CheckColoringAnytime(
   params.alpha = alpha;
   params.beta = beta;
   params.split_mean = options_.split_mean;
-  ColoringBackendRegistry& registry = ColoringBackendRegistry::Global();
-  std::unique_ptr<ColoringBackend> backend =
-      registry.Create(name, g, Partition::Trivial(g.num_nodes()), params);
+  const std::unique_ptr<RothkoRefiner> backend =
+      MakeRefiner(name, g, Partition::Trivial(g.num_nodes()), params);
   double prev_error = backend->CurrentMaxError();
   ColorId prev_colors = backend->partition().num_colors();
   int steps = 0;
@@ -153,34 +145,26 @@ void DifferentialRunner::CheckColoringAnytime(
   // Determinism / resume-equals-fresh: replaying the same number of
   // uncapped steps from the same initial partition must reproduce the
   // partition bit-for-bit.
-  std::unique_ptr<ColoringBackend> replay =
-      registry.Create(name, g, Partition::Trivial(g.num_nodes()), params);
+  const std::unique_ptr<RothkoRefiner> replay =
+      MakeRefiner(name, g, Partition::Trivial(g.num_nodes()), params);
   for (int i = 0; i < steps; ++i) replay->Step();
-  bool identical =
-      replay->partition().num_colors() == backend->partition().num_colors();
-  for (NodeId v = 0; identical && v < g.num_nodes(); ++v) {
-    identical =
-        replay->partition().ColorOf(v) == backend->partition().ColorOf(v);
-  }
-  check.Expect(identical, "coloring/deterministic-replay",
+  check.Expect(SamePartition(replay->partition(), backend->partition(),
+                             g.num_nodes()),
+               "coloring/deterministic-replay",
                Fmt("replaying %.0f steps produced a different partition "
                    "(%.0f colors)",
                    static_cast<double>(steps),
                    static_cast<double>(replay->partition().num_colors())));
 
   // Engine telemetry: the split history's color counts are strictly
-  // increasing. Every builtin runs on RothkoRefiner; a registered backend
-  // on another engine exposes no history.
-  if (const auto* rothko = dynamic_cast<const RothkoRefiner*>(backend.get())) {
-    ColorId hist_colors = 0;
-    for (const RothkoStep& s : rothko->history()) {
-      check.Expect(s.num_colors > hist_colors,
-                   "rothko/history-colors-increasing",
-                   Fmt("history color count %.0f after %.0f",
-                       static_cast<double>(s.num_colors),
-                       static_cast<double>(hist_colors)));
-      hist_colors = s.num_colors;
-    }
+  // increasing.
+  ColorId hist_colors = 0;
+  for (const RothkoStep& s : backend->history()) {
+    check.Expect(s.num_colors > hist_colors, "rothko/history-colors-increasing",
+                 Fmt("history color count %.0f after %.0f",
+                     static_cast<double>(s.num_colors),
+                     static_cast<double>(hist_colors)));
+    hist_colors = s.num_colors;
   }
 }
 
@@ -430,12 +414,11 @@ DifferentialReport DifferentialRunner::CheckDynamic(
 
   const NodeId n = g.num_nodes();
   auto current = std::make_shared<const Graph>(g);
-  dynamic::IncrementalRecolorer inc(current, name, Partition::Trivial(n),
-                                    params);
+  std::unique_ptr<RothkoRefiner> inc =
+      MakeRefiner(name, *current, Partition::Trivial(n), params);
   // Warm to the top budget, as a session serving the sweep would.
-  for (const ColorId budget : budgets) RefineTo(inc, budget);
+  for (const ColorId budget : budgets) inc->RefineTo(budget);
 
-  ColoringBackendRegistry& registry = ColoringBackendRegistry::Global();
   dynamic::RepairOptions repair;
   repair.max_repair_splits = dyn.max_repair_splits;
 
@@ -445,10 +428,18 @@ DifferentialReport DifferentialRunner::CheckDynamic(
     check.Expect(next.ok(), "dynamic/edit-batch-applies",
                  next.ok() ? "" : next.status().ToString());
     if (!next.ok()) return report;
-    current = std::make_shared<const Graph>(std::move(next).value());
+    auto mutated = std::make_shared<const Graph>(std::move(next).value());
 
-    const dynamic::RepairOutcome outcome =
-        inc.ApplyGraph(current, batch, repair);
+    // Repair over the mutated graph, or fall back to a fresh refiner from
+    // the initial partition, as the session cache does. `inc` runs over
+    // `current` until it is replaced.
+    dynamic::RepairOutcome outcome;
+    std::unique_ptr<RothkoRefiner> repaired = dynamic::TryRepair(
+        name, *mutated, inc->partition(), params, repair, &outcome);
+    inc = repaired != nullptr
+              ? std::move(repaired)
+              : MakeRefiner(name, *mutated, Partition::Trivial(n), params);
+    current = std::move(mutated);
     check.Expect(outcome.repaired == outcome.converged,
                  "dynamic/repair-outcome-consistent",
                  Fmt("repaired %.0f but converged %.0f",
@@ -464,12 +455,12 @@ DifferentialReport DifferentialRunner::CheckDynamic(
 
     // A from-scratch refiner on the mutated graph, swept over the same
     // ascending budgets the incremental side serves.
-    std::unique_ptr<ColoringBackend> scratch =
-        registry.Create(name, *current, Partition::Trivial(n), params);
+    const std::unique_ptr<RothkoRefiner> scratch =
+        MakeRefiner(name, *current, Partition::Trivial(n), params);
     for (const ColorId budget : budgets) {
-      RefineTo(inc, budget);
-      RefineTo(*scratch, budget);
-      const double q_inc = inc.CurrentMaxError();
+      inc->RefineTo(budget);
+      scratch->RefineTo(budget);
+      const double q_inc = inc->CurrentMaxError();
       const double q_scratch = scratch->CurrentMaxError();
       check.Expect(q_inc <= std::max(q_scratch, dyn.q_tolerance),
                    "dynamic/q-error-bound",
@@ -477,7 +468,7 @@ DifferentialReport DifferentialRunner::CheckDynamic(
                        q_inc, q_scratch));
       if (!outcome.repaired) {
         check.Expect(
-            SamePartition(inc.partition(), scratch->partition(), n),
+            SamePartition(inc->partition(), scratch->partition(), n),
             "dynamic/fallback-bitwise-scratch",
             Fmt("fallback partition differs from scratch at budget %.0f "
                 "(batch %.0f)",

@@ -23,13 +23,13 @@
 //                exact scores is a valid correlation.
 //
 // All areas additionally check the selected compression backend's
-// ColoringBackend contract on the instance (coloring/backend.h): Step()
-// never increases CurrentMaxError(), every Step() adds colors, and
+// refiner contract on the instance (RothkoRefiner, coloring/rothko.h):
+// Step() never increases CurrentMaxError(), every Step() adds colors,
 // replaying the same step sequence from the same initial partition lands
-// on the identical partition (determinism / resume-equals-fresh). For the
-// rothko backend the history() color counts are additionally checked. The
-// backend under test comes from EvalOptions::backend; an unresolvable
-// name is itself a reported violation.
+// on the identical partition (determinism / resume-equals-fresh), and the
+// history() color counts increase. The backend under test comes from
+// EvalOptions::backend; an unresolvable name is itself a reported
+// violation.
 
 #ifndef QSC_EVAL_DIFFERENTIAL_H_
 #define QSC_EVAL_DIFFERENTIAL_H_
@@ -95,9 +95,10 @@ class DifferentialRunner {
                                      std::vector<ColorId> budgets) const;
 
   // Incremental-recoloring oracle (docs/DYNAMIC.md): replays the seeded
-  // edit stream over `g` through an IncrementalRecolorer on the selected
-  // backend and checks, at every checkpoint and every budget of the
-  // options' sweep (ascending), the dynamic serving bound
+  // edit stream over `g`, repairing the selected backend's refiner with
+  // dynamic::TryRepair (or rebuilding it on fallback) per batch, and
+  // checks, at every checkpoint and every budget of the options' sweep
+  // (ascending), the dynamic serving bound
   //     q_incremental <= max(q_scratch, q_tolerance)
   // against a fresh from-scratch refiner on the mutated graph — exactly,
   // not within a tolerance. Batches that fall back (and every batch at

@@ -107,17 +107,16 @@ std::vector<std::string> ParseBackendList(const std::string& csv) {
   return out;
 }
 
-// Canonicalizes and validates --backend values against the registry;
+// Canonicalizes and validates --backend values against the backend names;
 // exits like the other flag parsers on a name that cannot run.
 std::vector<std::string> ResolveBackends(std::vector<std::string> raw) {
-  ColoringBackendRegistry& registry = ColoringBackendRegistry::Global();
   if (raw.empty()) raw.push_back("");
   std::vector<std::string> out;
   for (const std::string& name : raw) {
     const StatusOr<std::string> canonical = CanonicalBackendName(name);
-    if (!canonical.ok() || !registry.Contains(*canonical)) {
+    if (!canonical.ok() || !IsBackendName(*canonical)) {
       std::string known;
-      for (const std::string& n : registry.Names()) {
+      for (const std::string& n : BackendNames()) {
         if (!known.empty()) known += ", ";
         known += n;
       }

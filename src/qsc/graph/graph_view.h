@@ -17,7 +17,7 @@
 // or a MappedGraph. The view (and every NeighborRange it hands out) is
 // valid only while the viewed object is alive and unmutated; holders that
 // need ownership keep a shared_ptr keepalive alongside the view (see
-// ColoringCache / IncrementalRecolorer).
+// ColoringCache, whose entries hold one beside each refiner's view).
 
 #ifndef QSC_GRAPH_GRAPH_VIEW_H_
 #define QSC_GRAPH_GRAPH_VIEW_H_

@@ -127,15 +127,12 @@ ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options) {
   QSC_CHECK_GE(options.max_colors, 4);
   LpMatrixGraph mg = BuildLpMatrixGraph(lp);
   WallTimer timer;
-  // CanonicalBackendName aborts on malformed names and Create on
-  // unregistered ones (see LpReduceOptions::backend).
-  const std::unique_ptr<ColoringBackend> refiner =
-      ColoringBackendRegistry::Global().Create(
-          CanonicalBackendName(options.backend).value(), mg.graph,
-          std::move(mg.initial), static_cast<const ColoringParams&>(options));
-  while (refiner->partition().num_colors() < options.max_colors &&
-         refiner->Step(options.max_colors)) {
-  }
+  // CanonicalBackendName aborts on malformed names and MakeRefiner on
+  // unknown ones (see LpReduceOptions::backend).
+  const std::unique_ptr<RothkoRefiner> refiner = MakeRefiner(
+      CanonicalBackendName(options.backend).value(), mg.graph,
+      std::move(mg.initial), static_cast<const ColoringParams&>(options));
+  refiner->RefineTo(options.max_colors);
   const double coloring_seconds = timer.ElapsedSeconds();
   ReducedLp out = ExtractReducedLp(lp, refiner->partition(), options.variant);
   out.max_q = refiner->CurrentMaxError();

@@ -41,7 +41,7 @@ struct LpReduceOptions : ColoringParams {
   LpReduction variant = LpReduction::kSqrtNormalized;
 
   // Coloring backend for the matrix graph (coloring/backend.h); "" means
-  // kDefaultColoringBackend. Must canonicalize to a registered backend —
+  // kDefaultColoringBackend. Must canonicalize to a backend name —
   // qsc::Compressor::SolveLp validates; ReduceLp aborts on malformed or
   // unknown names.
   std::string backend;

@@ -5,6 +5,7 @@
 
 #include "qsc/api/compressor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -547,16 +548,13 @@ TEST(CompressorTest, DistinctBackendsGetDistinctCacheEntries) {
 
 TEST(CompressorTest, BackendColoringMatchesDirectBackendRun) {
   // A session query routed by name is bit-identical to driving the
-  // registry-created backend directly at the same budget.
+  // backend's refiner directly at the same budget.
   Graph g = TestGraph(31);
   const ColorId budget = 14;
   for (const char* backend_name : {"lp-rounding", "bucket"}) {
-    const std::unique_ptr<ColoringBackend> direct =
-        ColoringBackendRegistry::Global().Create(
-            backend_name, g, Partition::Trivial(g.num_nodes()), {});
-    while (direct->partition().num_colors() < budget &&
-           direct->Step(budget)) {
-    }
+    const std::unique_ptr<RothkoRefiner> direct =
+        MakeRefiner(backend_name, g, Partition::Trivial(g.num_nodes()), {});
+    direct->RefineTo(budget);
 
     Compressor session(std::shared_ptr<const Graph>(
         std::shared_ptr<const Graph>(), &g));
@@ -735,11 +733,26 @@ TEST(CompressorTest, ApplyEditsBumpsVersionAndStampsTelemetry) {
   EXPECT_TRUE(*after->coloring == *want->coloring);
 }
 
-TEST(CompressorTest, ApplyEditsRepairsToleranceBoundedSpecsOnly) {
+// The session repair path (ApplyEdits), once per backend.
+class CompressorApplyEditsTest : public ::testing::TestWithParam<std::string> {
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, CompressorApplyEditsTest, ::testing::ValuesIn(BackendNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '0';
+      }
+      return name;
+    });
+
+TEST_P(CompressorApplyEditsTest, RepairsToleranceBoundedSpecsOnly) {
   Compressor session(TestGraph());
 
   QueryOptions strict;  // q_tolerance 0: never repairable
   strict.max_colors = 16;
+  strict.backend = GetParam();
   QueryOptions bounded = strict;
   bounded.q_tolerance = 8.0;
   QSC_CHECK_OK(session.Coloring(strict));
@@ -750,14 +763,36 @@ TEST(CompressorTest, ApplyEditsRepairsToleranceBoundedSpecsOnly) {
   QSC_CHECK_OK(edits);
   const auto applied = session.ApplyEdits(*edits);
   QSC_CHECK_OK(applied);
-  EXPECT_EQ(applied->repairs, 1);    // the bounded spec
-  EXPECT_EQ(applied->fallbacks, 1);  // the strict spec
+  // The strict spec always falls back; the bounded one repairs unless the
+  // batch outruns the split budget.
+  EXPECT_GE(applied->fallbacks, 1);
+  EXPECT_EQ(applied->repairs + applied->fallbacks, 2);
+  if (GetParam() == "rothko") {
+    EXPECT_EQ(applied->repairs, 1);
+  }
 
   const CacheStats& stats = session.stats().coloring;
   EXPECT_EQ(stats.edit_batches, 1);
   EXPECT_EQ(stats.edits_applied, 10);
-  EXPECT_EQ(stats.repairs, 1);
-  EXPECT_EQ(stats.fallbacks, 1);
+  EXPECT_EQ(stats.repairs, applied->repairs);
+  EXPECT_EQ(stats.fallbacks, applied->fallbacks);
+
+  // After the batch both specs serve what a fresh session on the mutated
+  // graph serves: the strict one bit for bit, the bounded one within its
+  // tolerance certificate.
+  Compressor fresh(session.graph());
+  const auto strict_after = session.Coloring(strict);
+  const auto strict_fresh = fresh.Coloring(strict);
+  ASSERT_TRUE(strict_after.ok());
+  ASSERT_TRUE(strict_fresh.ok());
+  EXPECT_EQ(strict_after->coloring->color_of(),
+            strict_fresh->coloring->color_of());
+  const auto bounded_after = session.Coloring(bounded);
+  const auto bounded_fresh = fresh.Coloring(bounded);
+  ASSERT_TRUE(bounded_after.ok());
+  ASSERT_TRUE(bounded_fresh.ok());
+  EXPECT_LE(bounded_after->max_q,
+            std::max(bounded_fresh->max_q, bounded.q_tolerance));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The compression-backend registry and the ColoringBackend contract
-// (src/qsc/coloring/backend.h): canonical-name handling, the three builtin
-// registrations, and — per backend — the monotone anytime Step(), strict
-// color growth, cap truncation, resume-equals-fresh determinism, and
+// Compression backends by name (src/qsc/coloring/backend.h): canonical-name
+// handling, the three backend names, and — per backend — the refiner
+// contract of RothkoRefiner: the monotone anytime Step(), strict color
+// growth, cap truncation, resume-equals-fresh determinism, and
 // MemoryBytes accounting the ColoringCache depends on.
 
 #include "qsc/coloring/backend.h"
@@ -28,10 +28,9 @@ Graph DenseTestGraph(uint64_t seed = 3, bool directed = true) {
   return testing_corpus::CorpusGraph(seed, directed);
 }
 
-std::unique_ptr<ColoringBackend> Make(const std::string& name, const Graph& g,
-                                      const ColoringParams& params = {}) {
-  return ColoringBackendRegistry::Global().Create(
-      name, g, Partition::Trivial(g.num_nodes()), params);
+std::unique_ptr<RothkoRefiner> Make(const std::string& name, const Graph& g,
+                                    const ColoringParams& params = {}) {
+  return MakeRefiner(name, g, Partition::Trivial(g.num_nodes()), params);
 }
 
 // --- canonical names ------------------------------------------------------
@@ -72,40 +71,29 @@ TEST(BackendNameTest, RejectsMalformedNames) {
   }
 }
 
-// --- registry -------------------------------------------------------------
+// --- the name table ---------------------------------------------------------
 
 TEST(BackendRegistryTest, BuiltinsAreRegistered) {
-  ColoringBackendRegistry& registry = ColoringBackendRegistry::Global();
-  EXPECT_TRUE(registry.Contains("rothko"));
-  EXPECT_TRUE(registry.Contains("lp-rounding"));
-  EXPECT_TRUE(registry.Contains("bucket"));
-  EXPECT_TRUE(registry.Contains(kDefaultColoringBackend));
-  EXPECT_FALSE(registry.Contains("no-such-backend"));
+  EXPECT_TRUE(IsBackendName("rothko"));
+  EXPECT_TRUE(IsBackendName("lp-rounding"));
+  EXPECT_TRUE(IsBackendName("bucket"));
+  EXPECT_TRUE(IsBackendName(kDefaultColoringBackend));
+  EXPECT_FALSE(IsBackendName("no-such-backend"));
 
-  const std::vector<std::string> names = registry.Names();
-  ASSERT_GE(names.size(), 3u);
+  const std::vector<std::string> names = BackendNames();
+  ASSERT_EQ(names.size(), 3u);
   for (size_t i = 1; i < names.size(); ++i) {
     EXPECT_LT(names[i - 1], names[i]);  // sorted, unique
   }
-  for (const std::string& name : names) {
-    EXPECT_FALSE(registry.Description(name).empty()) << name;
-  }
 }
 
-TEST(BackendRegistryTest, DefaultFactoryProducesTheRothkoRefiner) {
-  const Graph g = DenseTestGraph();
-  const std::unique_ptr<ColoringBackend> backend =
-      Make(kDefaultColoringBackend, g);
-  EXPECT_NE(dynamic_cast<RothkoRefiner*>(backend.get()), nullptr);
-}
-
-// --- the ColoringBackend contract, per registered backend -----------------
+// --- the refiner contract, per backend ---------------------------------------
 
 class BackendContractTest : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendContractTest,
-    ::testing::ValuesIn(ColoringBackendRegistry::Global().Names()),
+    ::testing::ValuesIn(BackendNames()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
@@ -116,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(BackendContractTest, InitialErrorDescribesTheInitialPartition) {
   const Graph g = DenseTestGraph();
-  const std::unique_ptr<ColoringBackend> backend = Make(GetParam(), g);
+  const std::unique_ptr<RothkoRefiner> backend = Make(GetParam(), g);
   // A dense random graph is nowhere near stable under the trivial
   // partition, and the backend must report that before the first Step().
   EXPECT_GT(backend->CurrentMaxError(), 0.0);
@@ -126,7 +114,7 @@ TEST_P(BackendContractTest, InitialErrorDescribesTheInitialPartition) {
 TEST_P(BackendContractTest, UncappedStepsAreMonotoneAndGrowColors) {
   for (const bool directed : {false, true}) {
     const Graph g = DenseTestGraph(5, directed);
-    const std::unique_ptr<ColoringBackend> backend = Make(GetParam(), g);
+    const std::unique_ptr<RothkoRefiner> backend = Make(GetParam(), g);
     double prev_error = backend->CurrentMaxError();
     ColorId prev_colors = backend->partition().num_colors();
     for (int step = 0; step < 25 && backend->Step(); ++step) {
@@ -143,10 +131,9 @@ TEST_P(BackendContractTest, UncappedStepsAreMonotoneAndGrowColors) {
 
 TEST_P(BackendContractTest, ColorCapTruncatesTheContinuation) {
   const Graph g = DenseTestGraph(7);
-  const std::unique_ptr<ColoringBackend> backend = Make(GetParam(), g);
+  const std::unique_ptr<RothkoRefiner> backend = Make(GetParam(), g);
   const ColorId cap = 12;
-  while (backend->partition().num_colors() < cap && backend->Step(cap)) {
-  }
+  EXPECT_TRUE(backend->RefineTo(cap));  // dense: not converged at the cap
   EXPECT_LE(backend->partition().num_colors(), cap);
   EXPECT_EQ(backend->partition().num_colors(), cap);  // dense: cap reached
 }
@@ -158,15 +145,12 @@ TEST_P(BackendContractTest, ResumeEqualsFresh) {
   for (const bool directed : {false, true}) {
     const Graph g = DenseTestGraph(9, directed);
 
-    const std::unique_ptr<ColoringBackend> fresh = Make(GetParam(), g);
-    while (fresh->partition().num_colors() < 24 && fresh->Step(24)) {
-    }
+    const std::unique_ptr<RothkoRefiner> fresh = Make(GetParam(), g);
+    fresh->RefineTo(24);
 
-    const std::unique_ptr<ColoringBackend> resumed = Make(GetParam(), g);
-    while (resumed->partition().num_colors() < 12 && resumed->Step(12)) {
-    }
-    while (resumed->partition().num_colors() < 24 && resumed->Step(24)) {
-    }
+    const std::unique_ptr<RothkoRefiner> resumed = Make(GetParam(), g);
+    resumed->RefineTo(12);
+    resumed->RefineTo(24);
 
     ASSERT_EQ(fresh->partition().num_colors(), resumed->partition().num_colors());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -179,19 +163,19 @@ TEST_P(BackendContractTest, ResumeEqualsFresh) {
 TEST_P(BackendContractTest, QToleranceStopsRefinement) {
   const Graph g = DenseTestGraph(11);
   ColoringParams params;
-  const std::unique_ptr<ColoringBackend> reference = Make(GetParam(), g);
+  const std::unique_ptr<RothkoRefiner> reference = Make(GetParam(), g);
   params.q_tolerance = reference->CurrentMaxError() / 2.0;
-  const std::unique_ptr<ColoringBackend> backend = Make(GetParam(), g, params);
-  while (backend->Step()) {
-  }
-  // Step() returned false: either the tolerance was met or the partition
-  // went fully stable; in both cases the error honors the tolerance.
+  const std::unique_ptr<RothkoRefiner> backend = Make(GetParam(), g, params);
+  // No budget stops it first, so RefineTo reports convergence: either the
+  // tolerance was met or the partition went fully stable; in both cases
+  // the error honors the tolerance.
+  EXPECT_FALSE(backend->RefineTo(g.num_nodes() + 1));
   EXPECT_LE(backend->CurrentMaxError(), params.q_tolerance + 1e-9);
 }
 
 TEST_P(BackendContractTest, MemoryBytesIsPositiveAndTracksThePartition) {
   const Graph g = DenseTestGraph(13);
-  const std::unique_ptr<ColoringBackend> backend = Make(GetParam(), g);
+  const std::unique_ptr<RothkoRefiner> backend = Make(GetParam(), g);
   const int64_t before = backend->MemoryBytes();
   EXPECT_GT(before, 0);
   for (int step = 0; step < 5 && backend->Step(); ++step) {
@@ -207,10 +191,8 @@ TEST(BackendDistinctnessTest, KernelsProduceDistinctColorings) {
   // witness-mean split vs degree median-rank split.)
   const Graph g = DenseTestGraph(2);
   auto color_to = [&g](const std::string& name, ColorId budget) {
-    const std::unique_ptr<ColoringBackend> backend = Make(name, g);
-    while (backend->partition().num_colors() < budget &&
-           backend->Step(budget)) {
-    }
+    const std::unique_ptr<RothkoRefiner> backend = Make(name, g);
+    backend->RefineTo(budget);
     return backend->partition();
   };
   const Partition rothko = color_to("rothko", 16);

@@ -49,9 +49,8 @@ TEST_P(SplitRuleEquivalenceTest, StepsMatchTheScanReference) {
   const std::string name =
       kernel == ScanSplitReference::Kernel::kLpRounding ? "lp-rounding"
                                                         : "bucket";
-  const std::unique_ptr<ColoringBackend> engine =
-      ColoringBackendRegistry::Global().Create(
-          name, g, Partition::Trivial(g.num_nodes()), params);
+  const std::unique_ptr<RothkoRefiner> engine =
+      MakeRefiner(name, g, Partition::Trivial(g.num_nodes()), params);
   ScanSplitReference ref(g, Partition::Trivial(g.num_nodes()), params,
                          kernel);
 

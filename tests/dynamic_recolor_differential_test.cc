@@ -54,7 +54,7 @@ class DynamicRecolorDifferentialTest
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, DynamicRecolorDifferentialTest,
-    ::testing::ValuesIn(ColoringBackendRegistry::Global().Names()),
+    ::testing::ValuesIn(BackendNames()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {

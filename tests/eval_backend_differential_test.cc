@@ -44,7 +44,7 @@ class BackendDifferentialTest
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendDifferentialTest,
-    ::testing::ValuesIn(ColoringBackendRegistry::Global().Names()),
+    ::testing::ValuesIn(BackendNames()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
