@@ -81,6 +81,35 @@ Partition InitialPartition(const ColoringSpec& spec, NodeId num_nodes) {
   return InitialPartition(spec, Partition::Trivial(num_nodes));
 }
 
+struct ColoringCache::Snapshot {
+  Snapshot(std::shared_ptr<const Partition> served_partition, double error,
+           std::weak_ptr<Entry> serving_entry, uint64_t serving_epoch)
+      : partition(std::move(served_partition)),
+        max_error(error),
+        owner(std::move(serving_entry)),
+        epoch(serving_epoch) {}
+
+  const std::shared_ptr<const Partition> partition;
+  const double max_error;
+
+  // The entry that serves this snapshot and its epoch when the snapshot
+  // was made. ApplyGraph bumps the epoch as it drops the old graph's
+  // snapshots, so an artifact built late charges no entry that no longer
+  // serves it.
+  const std::weak_ptr<Entry> owner;
+  const uint64_t epoch;
+
+  // One artifact: `once` is held for the build, so concurrent first
+  // lookups of a key wait for one build instead of racing their own.
+  struct Slot {
+    std::mutex once;
+    std::shared_ptr<const void> value;  // guarded by `once`
+    int64_t bytes = 0;
+  };
+  std::mutex slots_mutex;  // guards the map's shape; nodes are stable
+  std::map<ArtifactKey, Slot> slots;
+};
+
 struct ColoringCache::Entry {
   Entry(GraphView graph_view, std::shared_ptr<const void> graph_keepalive)
       : view(std::move(graph_view)), keepalive(std::move(graph_keepalive)) {}
@@ -109,11 +138,10 @@ struct ColoringCache::Entry {
   // splittable color); larger budgets cannot advance it.
   bool converged = false;
   // Snapshot of the refiner's current partition; reset on refinement.
-  std::shared_ptr<const Partition> head;
+  std::shared_ptr<Snapshot> head;
   // Snapshots previously served, keyed by requested budget. Serves
   // down-budget requests without rerunning (splits are not invertible).
-  std::map<ColorId, std::pair<std::shared_ptr<const Partition>, double>>
-      served;
+  std::map<ColorId, std::shared_ptr<Snapshot>> served;
 
   // Pin count of in-flight Refine() calls. Increments happen under the
   // cache map lock (shared or unique) and the eviction scan runs under
@@ -122,30 +150,41 @@ struct ColoringCache::Entry {
   std::atomic<int32_t> active{0};
   // LRU stamp from the cache-wide use clock, set at acquisition.
   std::atomic<uint64_t> last_used{0};
-  // Footprint last folded into the cache total; guarded by the cache
-  // map's unique lock.
-  int64_t bytes = 0;
 
-  // Footprint of this entry: the live refiner plus every distinct served
-  // snapshot (down-budget memoizations often alias the head or each
-  // other; each partition is counted once). Caller holds `mutex`.
+  // Bumped by ApplyGraph when it drops the snapshots; written under both
+  // the cache map's unique lock and `mutex`, so either one suffices to
+  // read it.
+  uint64_t epoch = 0;
+  // Guarded by the cache map's unique lock: the footprint last folded
+  // into the cache total (MemoryBytes() + artifact_bytes), the bytes of
+  // the artifacts built from the current snapshots, and whether the
+  // entry is still in the map.
+  int64_t bytes = 0;
+  int64_t artifact_bytes = 0;
+  bool resident = true;
+
+  // Footprint of the refiner and the snapshots: the live refiner plus
+  // every distinct served snapshot (down-budget memoizations often alias
+  // the head or each other; each snapshot is counted once). Artifacts are
+  // metered separately (artifact_bytes). Caller holds `mutex`.
   int64_t MemoryBytes() const {
     int64_t total = static_cast<int64_t>(sizeof(Entry));
     if (refiner != nullptr) total += refiner->MemoryBytes();
-    std::vector<const Partition*> counted;
-    const auto count = [&](const std::shared_ptr<const Partition>& p) {
-      if (p == nullptr) return;
-      if (std::find(counted.begin(), counted.end(), p.get()) !=
+    std::vector<const Snapshot*> counted;
+    const auto count = [&](const std::shared_ptr<Snapshot>& s) {
+      if (s == nullptr) return;
+      if (std::find(counted.begin(), counted.end(), s.get()) !=
           counted.end()) {
         return;
       }
-      counted.push_back(p.get());
-      total += p->MemoryBytes();
+      counted.push_back(s.get());
+      total += static_cast<int64_t>(sizeof(Snapshot)) +
+               s->partition->MemoryBytes();
     };
     count(head);
     for (const auto& [budget, snapshot] : served) {
       total += static_cast<int64_t>(sizeof(ColorId) + sizeof(snapshot));
-      count(snapshot.first);
+      count(snapshot);
     }
     return total;
   }
@@ -264,8 +303,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       const auto served = entry->served.find(budget);
       if (served != entry->served.end()) {
         handle.cache_hit = found;
-        handle.partition = served->second.first;
-        handle.max_error = served->second.second;
+        handle.snapshot = served->second;
       } else {
         const std::unique_ptr<RothkoRefiner> fresh =
             MakeBackend(entry->view, spec, base_, pool_);
@@ -273,10 +311,10 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         fresh->RefineTo(budget);
         handle.splits = fresh->partition().num_colors() - initial;
         if (found) outcome = Outcome::kRecoloring;
-        handle.partition =
-            std::make_shared<const Partition>(fresh->partition());
-        handle.max_error = fresh->CurrentMaxError();
-        entry->served[budget] = {handle.partition, handle.max_error};
+        handle.snapshot = std::make_shared<Snapshot>(
+            std::make_shared<const Partition>(fresh->partition()),
+            fresh->CurrentMaxError(), entry, entry->epoch);
+        entry->served[budget] = handle.snapshot;
       }
     } else {
       // Continue the cached refinement — the same loop as
@@ -289,13 +327,15 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
       }
       handle.splits = entry->refiner->partition().num_colors() - before;
       if (handle.splits > 0 || entry->head == nullptr) {
-        entry->head =
-            std::make_shared<const Partition>(entry->refiner->partition());
+        entry->head = std::make_shared<Snapshot>(
+            std::make_shared<const Partition>(entry->refiner->partition()),
+            entry->refiner->CurrentMaxError(), entry, entry->epoch);
       }
-      handle.partition = entry->head;
-      handle.max_error = entry->refiner->CurrentMaxError();
-      entry->served[budget] = {handle.partition, handle.max_error};
+      handle.snapshot = entry->head;
+      entry->served[budget] = entry->head;
     }
+    handle.partition = handle.snapshot->partition;
+    handle.max_error = handle.snapshot->max_error;
     entry_bytes = entry->MemoryBytes();
   }
   {
@@ -368,9 +408,12 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
                            ? std::move(repaired)
                            : MakeBackend(view_, spec, base_, pool_);
       entry->converged = outcome.converged;
-      // Snapshots of the old graph's colorings must not be served again.
+      // Snapshots of the old graph's colorings — and the artifacts built
+      // from them — must not be served again.
       entry->head = nullptr;
       entry->served.clear();
+      entry->artifact_bytes = 0;
+      ++entry->epoch;
       ++result.entries;
       if (outcome.repaired) {
         ++result.repairs;
@@ -409,6 +452,7 @@ void ColoringCache::FinishUse(const std::shared_ptr<Entry>& entry,
   int64_t evicted = 0;
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
+    new_bytes += entry->artifact_bytes;
     total_bytes_ += new_bytes - entry->bytes;
     entry->bytes = new_bytes;
     if (total_bytes_ > peak_bytes_) peak_bytes_ = total_bytes_;
@@ -416,31 +460,89 @@ void ColoringCache::FinishUse(const std::shared_ptr<Entry>& entry,
     // request's own entry is the only candidate (a single entry larger
     // than the budget must not park the cache above it).
     entry->active.fetch_sub(1, std::memory_order_relaxed);
-    if (options_.byte_budget > 0) {
-      while (total_bytes_ > options_.byte_budget) {
-        auto victim = entries_.end();
-        uint64_t oldest = 0;
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-          const Entry& candidate = *it->second;
-          if (candidate.active.load(std::memory_order_relaxed) != 0) continue;
-          const uint64_t stamp =
-              candidate.last_used.load(std::memory_order_relaxed);
-          if (victim == entries_.end() || stamp < oldest) {
-            victim = it;
-            oldest = stamp;
-          }
-        }
-        if (victim == entries_.end()) break;  // everything pinned
-        total_bytes_ -= victim->second->bytes;
-        entries_.erase(victim);
-        ++evicted;
+    evicted = EvictOverBudgetLocked();
+  }
+  if (evicted > 0) {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.evictions += evicted;
+  }
+}
+
+int64_t ColoringCache::EvictOverBudgetLocked() {
+  int64_t evicted = 0;
+  if (options_.byte_budget == 0) return evicted;
+  while (total_bytes_ > options_.byte_budget) {
+    auto victim = entries_.end();
+    uint64_t oldest = 0;
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      const Entry& candidate = *it->second;
+      if (candidate.active.load(std::memory_order_relaxed) != 0) continue;
+      const uint64_t stamp =
+          candidate.last_used.load(std::memory_order_relaxed);
+      if (victim == entries_.end() || stamp < oldest) {
+        victim = it;
+        oldest = stamp;
       }
+    }
+    if (victim == entries_.end()) break;  // everything pinned
+    total_bytes_ -= victim->second->bytes;
+    victim->second->resident = false;
+    entries_.erase(victim);
+    ++evicted;
+  }
+  return evicted;
+}
+
+std::shared_ptr<const void> ColoringCache::ArtifactErased(
+    const Handle& handle, const ArtifactKey& key,
+    const ArtifactBuilder& build) {
+  QSC_CHECK(handle.snapshot != nullptr);
+  Snapshot& snapshot = *handle.snapshot;
+  Snapshot::Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(snapshot.slots_mutex);
+    slot = &snapshot.slots[key];
+  }
+  std::shared_ptr<const void> value;
+  bool built = false;
+  int64_t bytes = 0;
+  {
+    std::lock_guard<std::mutex> once(slot->once);
+    if (slot->value == nullptr) {
+      slot->value = build(&slot->bytes);
+      built = true;
+      bytes = slot->bytes;
+    }
+    value = slot->value;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.artifact_lookups;
+    ++(built ? stats_.artifact_builds : stats_.artifact_hits);
+  }
+  if (!built) return value;
+
+  // Charge the build to the entry while it still serves the snapshot; an
+  // evicted entry or a snapshot ApplyGraph dropped is no longer metered,
+  // and its artifact dies with the last handle.
+  int64_t evicted = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    const std::shared_ptr<Entry> entry = snapshot.owner.lock();
+    if (entry != nullptr && entry->resident &&
+        entry->epoch == snapshot.epoch) {
+      entry->artifact_bytes += bytes;
+      entry->bytes += bytes;
+      total_bytes_ += bytes;
+      if (total_bytes_ > peak_bytes_) peak_bytes_ = total_bytes_;
+      evicted = EvictOverBudgetLocked();
     }
   }
   if (evicted > 0) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.evictions += evicted;
   }
+  return value;
 }
 
 }  // namespace qsc

@@ -40,12 +40,23 @@
 // proves this over the shared 56-graph corpus). Entries pinned by
 // in-flight requests are not evictable, so under concurrency the budget
 // is enforced whenever no request is mid-flight.
+//
+// Snapshot artifacts: whatever a query derives from a served partition
+// alone — Theorem 6's reduced graphs, an LP's reduced instance — is a pure
+// function of (graph version, spec, snapshot), so every snapshot carries a
+// memo of such artifacts (Artifact()). Each artifact is built at most once
+// per snapshot behind its own once-guard, outside the entry mutex and the
+// map lock, so a build never stalls refinement or lookups of any spec. A
+// built artifact joins its entry's footprint (and so the byte budget),
+// and it lives and dies with its snapshot: eviction drops it with the
+// entry, ApplyGraph drops it with the old graph's snapshots.
 
 #ifndef QSC_API_COLORING_CACHE_H_
 #define QSC_API_COLORING_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -162,16 +173,35 @@ struct CacheStats {
   int64_t fallbacks = 0;      // entries reset for from-scratch recoloring
   int64_t repair_splits = 0;  // witness splits spent by successful repairs
 
+  // Snapshot artifacts (ColoringCache::Artifact). Every artifact lookup
+  // is exactly one of {build, hit}, so
+  // artifact_builds + artifact_hits == artifact_lookups.
+  int64_t artifact_lookups = 0;
+  int64_t artifact_builds = 0;  // artifacts built (first use per snapshot)
+  int64_t artifact_hits = 0;    // artifacts served from a snapshot's memo
+
   // Per-backend breakdown of the five attribution counters above; the
   // column sums over all rows equal the totals.
   std::map<std::string, BackendStats> per_backend;
+};
+
+// Names one artifact derived from a served snapshot: what it is, plus the
+// one parameter that shapes it (a tolerance's bit pattern, an enum value).
+struct ArtifactKey {
+  std::string kind;
+  uint64_t param = 0;
+
+  friend bool operator<(const ArtifactKey& a, const ArtifactKey& b) {
+    return a.kind != b.kind ? a.kind < b.kind : a.param < b.param;
+  }
 };
 
 // Session-construction knobs for the cache.
 struct ColoringCacheOptions {
   // Maximum total entry footprint in bytes; 0 = unlimited (never evict).
   // An entry's footprint is its live refiner (RothkoRefiner::MemoryBytes)
-  // plus every distinct partition snapshot it serves. When a request
+  // plus every distinct partition snapshot it serves and the artifacts
+  // built from those snapshots. When a request
   // leaves the total above the budget, least-recently-used idle entries
   // are evicted — possibly including the entry the request itself used —
   // until the total is back within the budget, so with no concurrent
@@ -186,6 +216,9 @@ struct ColoringCacheOptions {
 // granularity and the determinism guarantee).
 class ColoringCache {
  public:
+  // A served partition together with the memo of its derived artifacts.
+  struct Snapshot;
+
   // One served coloring. `partition` is a shared immutable snapshot —
   // callers must not assume it tracks later refinement.
   struct Handle {
@@ -194,6 +227,8 @@ class ColoringCache {
     bool cache_hit = false;  // an existing entry served this request
     int64_t splits = 0;      // witness splits this request performed
     double seconds = 0.0;    // wall-clock cost of this request
+    // The snapshot `partition` belongs to; the key to Artifact().
+    std::shared_ptr<Snapshot> snapshot;
   };
 
   // `graph` must be non-null; the cache shares ownership. `pool` (not
@@ -237,6 +272,26 @@ class ColoringCache {
   // callers (every backend honors the determinism contract of
   // RothkoRefiner, coloring/rothko.h).
   Handle Refine(const ColoringSpec& spec, ColorId budget);
+
+  // The artifact `key` derived from the handle's snapshot: `build()` runs
+  // the first time the snapshot is asked for `key` and every later call —
+  // from any thread, for as long as the snapshot lives — returns the same
+  // object. Concurrent first calls for one key wait for a single build;
+  // the build holds neither the entry mutex nor the map lock. `build` must
+  // be a pure function of the snapshot's partition and the graph it was
+  // refined on, returning a T with `int64_t MemoryBytes() const`; those
+  // bytes join the entry's footprint (and may trigger eviction) while the
+  // entry still serves the snapshot.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> Artifact(const Handle& handle,
+                                    const ArtifactKey& key, Build build) {
+    return std::static_pointer_cast<const T>(
+        ArtifactErased(handle, key, [&build](int64_t* bytes) {
+          auto value = std::make_shared<const T>(build());
+          *bytes = value->MemoryBytes();
+          return std::shared_ptr<const void>(std::move(value));
+        }));
+  }
 
   // Aggregate outcome of one ApplyGraph call.
   struct EditApplyStats {
@@ -288,10 +343,24 @@ class ColoringCache {
  private:
   struct Entry;
 
+  using ArtifactBuilder =
+      std::function<std::shared_ptr<const void>(int64_t* bytes)>;
+
   // Footprint accounting + unpin + budget enforcement after one Refine():
-  // folds `new_bytes` into the total, releases the caller's pin, and
-  // evicts LRU idle entries while the total exceeds the budget.
+  // folds `new_bytes` (the entry's refiner and snapshots) into the total,
+  // releases the caller's pin, and evicts LRU idle entries while the
+  // total exceeds the budget.
   void FinishUse(const std::shared_ptr<Entry>& entry, int64_t new_bytes);
+
+  // Evicts least-recently-used idle entries until the total is within the
+  // budget; returns how many it evicted. Caller holds mutex_ uniquely.
+  int64_t EvictOverBudgetLocked();
+
+  // Type-erased Artifact(): the once-guarded lookup, the stats, and the
+  // footprint charge of a fresh build.
+  std::shared_ptr<const void> ArtifactErased(const Handle& handle,
+                                             const ArtifactKey& key,
+                                             const ArtifactBuilder& build);
 
   // The serving substrate: every new entry starts over view_, and
   // keepalive_ pins its backing storage (the owning graph_ or a mapped

@@ -310,8 +310,17 @@ class Compressor::Impl {
     result.telemetry.graph_version = graph_version_;
 
     timer.Reset();
-    result.reduced =
-        ExtractReducedLp(entry.lp, *handle.partition, options.lp_variant);
+    // The reduced instance is memoized on the served snapshot, per
+    // variant, so a hit pays only the simplex and the lift.
+    const std::shared_ptr<const ReducedLp> reduced =
+        cache->Artifact<ReducedLp>(
+            handle,
+            {"lp.reduced", static_cast<uint64_t>(options.lp_variant)},
+            [&] {
+              return ExtractReducedLp(entry.lp, *handle.partition,
+                                      options.lp_variant);
+            });
+    result.reduced = *reduced;
     result.reduced.max_q = handle.max_error;
     result.reduced.coloring_seconds = result.telemetry.coloring_seconds;
     result.solution = SolveSimplex(result.reduced.lp);
@@ -419,6 +428,9 @@ class Compressor::Impl {
         snapshot.lp_hits += lp.hits;
         snapshot.lp_misses += lp.misses;
         snapshot.lp_recolorings += lp.recolorings;
+        snapshot.lp_artifact_lookups += lp.artifact_lookups;
+        snapshot.lp_artifact_builds += lp.artifact_builds;
+        snapshot.lp_artifact_hits += lp.artifact_hits;
       }
     }
     return snapshot;
@@ -522,27 +534,38 @@ class Compressor::Impl {
     const ColorId source_color = p.ColorOf(source);
     const ColorId sink_color = p.ColorOf(sink);
 
-    // Upper bound: reduced graph with summed capacities (c^2).
-    const Graph reduced = BuildReducedGraph(g, p, ReducedWeight::kSum);
+    // Upper bound: reduced graph with summed capacities (c^2). Both
+    // reduced graphs are memoized on the served snapshot, so a hit pays
+    // only push-relabel.
+    const std::shared_ptr<const Graph> reduced = cache_->Artifact<Graph>(
+        handle, {"flow.c2", 0},
+        [&] { return BuildReducedGraph(g, p, ReducedWeight::kSum); });
     result.upper_bound =
-        MaxFlowPushRelabel(reduced, source_color, sink_color);
+        MaxFlowPushRelabel(*reduced, source_color, sink_color);
 
     if (options.compute_lower_bound) {
-      // c^1(i, j) = maxUFlow(P_i, P_j): the largest flow shippable between
-      // the two colors with uniform per-node rates (Theorem 6).
-      std::vector<EdgeTriple> arcs;
-      for (const EdgeTriple& a : reduced.Arcs()) {
-        if (a.src == a.dst) continue;
-        const double c1 = MaxUniformFlow(g, p.Members(a.src), p.Members(a.dst),
-                                         options.uniform_flow_tol);
-        if (c1 > 0.0) {
-          arcs.push_back({a.src, a.dst, c1});
-        }
-      }
-      const Graph lower_graph =
-          Graph::FromEdges(p.num_colors(), arcs, /*undirected=*/false);
+      const std::shared_ptr<const Graph> lower_graph = cache_->Artifact<Graph>(
+          handle,
+          {"flow.c1", api_internal::DoubleBits(options.uniform_flow_tol)},
+          [&] {
+            // c^1(i, j) = maxUFlow(P_i, P_j): the largest flow shippable
+            // between the two colors with uniform per-node rates
+            // (Theorem 6).
+            std::vector<EdgeTriple> arcs;
+            for (const EdgeTriple& a : reduced->Arcs()) {
+              if (a.src == a.dst) continue;
+              const double c1 = MaxUniformFlow(
+                  g, p.Members(a.src), p.Members(a.dst),
+                  options.uniform_flow_tol);
+              if (c1 > 0.0) {
+                arcs.push_back({a.src, a.dst, c1});
+              }
+            }
+            return Graph::FromEdges(p.num_colors(), arcs,
+                                    /*undirected=*/false);
+          });
       result.lower_bound =
-          MaxFlowPushRelabel(lower_graph, source_color, sink_color);
+          MaxFlowPushRelabel(*lower_graph, source_color, sink_color);
     }
     result.telemetry.solve_seconds = timer.ElapsedSeconds();
     return result;

@@ -162,17 +162,23 @@ struct CentralityQueryResult {
 };
 
 // Session-level cache statistics: the graph-coloring cache (including the
-// dynamic repairs/fallbacks/edits_applied telemetry) plus the SolveLp
-// matrix-coloring caches. Each lp_* counter is the sum of the matching
-// CacheStats counter over the session's LP caches (one per distinct LP),
-// so lp_hits + lp_misses + lp_recolorings == lp_lookups.
+// dynamic repairs/fallbacks/edits_applied telemetry and the MaxFlow
+// reduced-graph artifacts) plus the SolveLp matrix-coloring caches. Each
+// lp_* counter is the sum of the matching CacheStats counter over the
+// session's LP caches (one per distinct LP), so
+// lp_hits + lp_misses + lp_recolorings == lp_lookups and
+// lp_artifact_builds + lp_artifact_hits == lp_artifact_lookups.
 struct CompressorStats {
   CacheStats coloring;   // ColoringCache counters (hits/misses/splits,
-                         // edit_batches/edits_applied/repairs/fallbacks)
+                         // edit_batches/edits_applied/repairs/fallbacks,
+                         // artifact_lookups/builds/hits)
   int64_t lp_lookups = 0;
   int64_t lp_hits = 0;   // SolveLp reused a cached matrix coloring
   int64_t lp_misses = 0; // first query of an LP spec, or after eviction
   int64_t lp_recolorings = 0;  // down-budget SolveLp recomputes
+  int64_t lp_artifact_lookups = 0;
+  int64_t lp_artifact_builds = 0;  // reduced LPs extracted
+  int64_t lp_artifact_hits = 0;    // reduced LPs served from the memo
 };
 
 // Per-batch knobs for ApplyEdits.

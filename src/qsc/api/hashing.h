@@ -26,12 +26,17 @@ inline uint64_t HashMixWord(uint64_t h, uint64_t word) {
   return h;
 }
 
-inline uint64_t HashMixDouble(uint64_t h, double v) {
-  if (v == 0.0) v = 0.0;  // fold -0.0 onto 0.0
+// The bit pattern of a double (as a key: equal bits, equal double).
+inline uint64_t DoubleBits(double v) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
   std::memcpy(&bits, &v, sizeof(bits));
-  return HashMixWord(h, bits);
+  return bits;
+}
+
+inline uint64_t HashMixDouble(uint64_t h, double v) {
+  if (v == 0.0) v = 0.0;  // fold -0.0 onto 0.0
+  return HashMixWord(h, DoubleBits(v));
 }
 
 constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;

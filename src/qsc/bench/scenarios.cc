@@ -18,6 +18,7 @@
 // Scenario counters are deterministic given the seed; instance
 // construction happens outside the timed closure.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -44,6 +45,7 @@
 #include "qsc/util/random.h"
 #include "qsc/util/stats.h"
 #include "qsc/util/table.h"
+#include "qsc/util/timer.h"
 
 namespace qsc {
 namespace bench {
@@ -675,6 +677,130 @@ void RegisterCompressorParallelFlow() {
       }));
 }
 
+// The warm hit path (docs/API.md "Cost of a hit"): one session, warmed
+// outside the timed closure, serves repeated hits of every query kind. A
+// hit's solve runs on artifacts memoized per served snapshot (the c^2
+// reduced graph, the reduced LP), so the MaxFlow/MaxFlowBatch/SolveLp
+// gauges track the exact solves alone and Centrality's tracks its pivot
+// passes. The checksums pin the answers; `artifact_builds` pins that the
+// closure's hits built nothing: every artifact comes from the warm-up.
+constexpr int kHitRounds = 8;
+constexpr ColorId kHitBudget = 64;
+constexpr ColorId kHitCentralityBudget = 8;
+
+void RegisterCompressorHitFlow() {
+  Scenario::Info info;
+  info.name = "pipelines/compressor-hit-flow";
+  info.group = "pipelines";
+  info.description =
+      "warm-session cache hits of all five query kinds on a 20k-node "
+      "directed BA graph (MaxFlow, MaxFlowBatch, SolveLp on a QAP-like LP, "
+      "Coloring, Centrality); per-kind hit latency gauges";
+  info.smoke = true;
+  ScenarioRegistry::Global().Register(Scenario(
+      std::move(info), [](const BenchContext& ctx) {
+        Rng rng(ctx.seed ^ 0x41f7);
+        const Graph ba = BarabasiAlbert(20000, 3, rng);
+        const Graph g =
+            Graph::FromArcs(ba.num_nodes(), ba.Arcs(), /*undirected=*/false);
+        const NodeId n = g.num_nodes();
+        const std::vector<std::pair<NodeId, NodeId>> pairs = {
+            {0, n - 1}, {1, n - 2}, {2, n - 3}, {0, n - 1}};
+        const LpProblem lp = MakeQapLikeLp(4, ctx.seed);
+        QueryOptions flow;
+        flow.max_colors = kHitBudget;
+        QueryOptions lp_sqrt;
+        lp_sqrt.max_colors = kHitBudget;
+        QueryOptions lp_grohe = lp_sqrt;
+        lp_grohe.lp_variant = LpReduction::kGrohe;
+        QueryOptions centrality;
+        centrality.max_colors = kHitCentralityBudget;
+
+        Compressor session(
+            std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g),
+            DefaultPool());
+        // Kind order: MaxFlow, MaxFlowBatch, SolveLp, Coloring, Centrality.
+        std::vector<double> checksums(5, 0.0);
+        std::vector<std::vector<double>> hit_ms(5);
+        const auto serve = [&](bool record) {
+          std::fill(checksums.begin(), checksums.end(), 0.0);
+          const auto timed = [&](int kind, const auto& query) {
+            WallTimer timer;
+            checksums[kind] += query();
+            if (record) hit_ms[kind].push_back(timer.ElapsedSeconds() * 1e3);
+          };
+          for (int round = 0; round < kHitRounds; ++round) {
+            for (const auto& [s, t] : pairs) {
+              timed(0, [&] {
+                const StatusOr<FlowQueryResult> r = session.MaxFlow(s, t, flow);
+                QSC_CHECK_OK(r);
+                return r->upper_bound;
+              });
+            }
+            timed(1, [&] {
+              const StatusOr<std::vector<FlowQueryResult>> r =
+                  session.MaxFlowBatch(pairs, flow);
+              QSC_CHECK_OK(r);
+              double sum = 0.0;
+              for (const FlowQueryResult& q : *r) sum += q.upper_bound;
+              return sum;
+            });
+            for (const QueryOptions* options : {&lp_sqrt, &lp_grohe}) {
+              timed(2, [&] {
+                const StatusOr<LpQueryResult> r = session.SolveLp(lp, *options);
+                QSC_CHECK_OK(r);
+                return r->solution.objective;
+              });
+            }
+            timed(3, [&] {
+              const StatusOr<ColoringResult> r = session.Coloring(flow);
+              QSC_CHECK_OK(r);
+              return static_cast<double>(r->coloring->num_colors());
+            });
+          }
+          timed(4, [&] {
+            const StatusOr<CentralityQueryResult> r =
+                session.Centrality(centrality);
+            QSC_CHECK_OK(r);
+            double sum = 0.0;
+            for (const double v : r->scores) sum += v;
+            return sum;
+          });
+        };
+        serve(/*record=*/false);  // warm-up: every coloring and artifact
+        const CompressorStats warm = session.stats();
+
+        ScenarioResult r;
+        r.timing = MeasureSeconds(ctx.measure, [&] { serve(true); });
+        const CompressorStats after = session.stats();
+
+        r.params = {{"nodes", static_cast<double>(n)},
+                    {"arcs", static_cast<double>(g.num_arcs())},
+                    {"rounds", static_cast<double>(kHitRounds)},
+                    {"max_colors", static_cast<double>(kHitBudget)}};
+        r.counters = {
+            {"maxflow_checksum", checksums[0]},
+            {"maxflow_batch_checksum", checksums[1]},
+            {"solvelp_checksum", checksums[2]},
+            {"coloring_checksum", checksums[3]},
+            {"centrality_checksum", checksums[4]},
+            {"artifact_builds",
+             static_cast<double>(after.coloring.artifact_builds +
+                                 after.lp_artifact_builds)},
+            {"hit_artifact_builds",
+             static_cast<double>(
+                 after.coloring.artifact_builds + after.lp_artifact_builds -
+                 warm.coloring.artifact_builds - warm.lp_artifact_builds)}};
+        const char* const kinds[] = {"maxflow", "maxflow_batch", "solvelp",
+                                     "coloring", "centrality"};
+        for (int k = 0; k < 5; ++k) {
+          r.gauges.push_back({std::string(kinds[k]) + "_hit_p50_ms",
+                              Median(hit_ms[k])});
+        }
+        return r;
+      }));
+}
+
 }  // namespace
 
 void RegisterBuiltinScenarios() {
@@ -699,6 +825,7 @@ void RegisterBuiltinScenarios() {
     RegisterCompressorBatchFlow();
     RegisterCompressorColdFlow();
     RegisterCompressorParallelFlow();
+    RegisterCompressorHitFlow();
     RegisterServingScenarios();
     RegisterFlowScenarios();
     RegisterBackendScenarios();

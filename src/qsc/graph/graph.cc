@@ -309,6 +309,16 @@ void Graph::RecomputeWeightCaches(NodeId u, NodeId v) {
   total_weight_ = total;
 }
 
+int64_t Graph::MemoryBytes() const {
+  const auto bytes = [](const auto& v) {
+    return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
+  };
+  return static_cast<int64_t>(sizeof(Graph)) + bytes(out_offsets_) +
+         bytes(out_dst_) + bytes(out_w_) + bytes(in_offsets_) +
+         bytes(in_src_) + bytes(in_w_) + bytes(out_weight_) +
+         bytes(in_weight_);
+}
+
 std::vector<EdgeTriple> Graph::Arcs() const {
   std::vector<EdgeTriple> arcs;
   arcs.reserve(num_arcs());

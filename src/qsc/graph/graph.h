@@ -238,6 +238,9 @@ class Graph {
   // Materializes all stored arcs (src, dst, weight).
   std::vector<EdgeTriple> Arcs() const;
 
+  // Heap footprint of the owned arrays plus the object itself.
+  int64_t MemoryBytes() const;
+
   // In-place single-edge mutators (the dynamic-graph substrate,
   // docs/DYNAMIC.md). On an undirected graph each call addresses the
   // logical edge {u,v} and keeps both stored arcs in sync. A mutated

@@ -140,6 +140,15 @@ ReducedLp ReduceLp(const LpProblem& lp, const LpReduceOptions& options) {
   return out;
 }
 
+int64_t ReducedLp::MemoryBytes() const {
+  const auto bytes = [](const auto& v) {
+    return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
+  };
+  return static_cast<int64_t>(sizeof(ReducedLp)) + bytes(lp.entries) +
+         bytes(lp.b) + bytes(lp.c) + bytes(row_color) + bytes(col_color) +
+         bytes(row_color_size) + bytes(col_color_size);
+}
+
 std::vector<double> LiftSolution(const ReducedLp& reduced,
                                  const std::vector<double>& reduced_x) {
   QSC_CHECK_EQ(static_cast<int32_t>(reduced_x.size()), reduced.lp.num_cols);

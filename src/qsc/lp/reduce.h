@@ -58,6 +58,9 @@ struct ReducedLp {
   LpReduction variant = LpReduction::kSqrtNormalized;
   double max_q = 0.0;  // q-error of the coloring on the matrix graph
   double coloring_seconds = 0.0;
+
+  // Heap footprint of the reduced LP and the color maps plus the object.
+  int64_t MemoryBytes() const;
 };
 
 // One-shot reduction: colors the matrix graph to options.max_colors

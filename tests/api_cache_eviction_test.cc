@@ -11,14 +11,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "qsc/api/coloring_cache.h"
 #include "qsc/api/compressor.h"
 #include "qsc/coloring/partition.h"
+#include "qsc/coloring/reduced_graph.h"
 #include "qsc/coloring/rothko.h"
+#include "qsc/dynamic/edit_stream.h"
 #include "qsc/graph/graph.h"
+#include "qsc/lp/generators.h"
 #include "rothko_corpus.h"
 
 namespace qsc {
@@ -209,6 +213,122 @@ TEST(CacheEvictionTest, CompressorByteBudgetIsTransparent) {
   EXPECT_EQ(stats.coloring.hits + stats.coloring.misses +
                 stats.coloring.recolorings,
             stats.coloring.lookups);
+}
+
+// A 1-byte budget also evicts every snapshot artifact: memoized answers
+// stay bit-equal to an unbudgeted session's, and nothing stays metered.
+TEST(CacheEvictionTest, TinyBudgetKeepsArtifactAnswersExact) {
+  Graph g = CorpusGraph(11, /*directed=*/true);
+  Compressor unbudgeted{Graph(g)};
+  CompressorOptions options;
+  options.coloring_cache_byte_budget = 1;
+  Compressor budgeted(std::move(g), /*pool=*/nullptr, options);
+
+  QueryOptions query;
+  query.max_colors = 12;
+  QueryOptions bounded = query;
+  bounded.compute_lower_bound = true;
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {0, 59}, {1, 58}, {0, 59}};
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  for (int round = 0; round < 3; ++round) {
+    for (const QueryOptions* options : {&query, &bounded}) {
+      const auto want = unbudgeted.MaxFlow(0, 59, *options);
+      const auto got = budgeted.MaxFlow(0, 59, *options);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->upper_bound, want->upper_bound);
+      EXPECT_EQ(got->lower_bound, want->lower_bound);
+      EXPECT_LE(budgeted.stats().coloring.bytes_in_use, 1);
+    }
+    const auto want_batch = unbudgeted.MaxFlowBatch(pairs, bounded);
+    const auto got_batch = budgeted.MaxFlowBatch(pairs, bounded);
+    ASSERT_TRUE(want_batch.ok());
+    ASSERT_TRUE(got_batch.ok());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_EQ((*got_batch)[k].upper_bound, (*want_batch)[k].upper_bound);
+      EXPECT_EQ((*got_batch)[k].lower_bound, (*want_batch)[k].lower_bound);
+    }
+    EXPECT_LE(budgeted.stats().coloring.bytes_in_use, 1);
+
+    const auto want_lp = unbudgeted.SolveLp(lp, query);
+    const auto got_lp = budgeted.SolveLp(lp, query);
+    ASSERT_TRUE(want_lp.ok());
+    ASSERT_TRUE(got_lp.ok());
+    EXPECT_EQ(got_lp->reduced.row_color, want_lp->reduced.row_color);
+    EXPECT_EQ(got_lp->reduced.col_color, want_lp->reduced.col_color);
+    EXPECT_EQ(got_lp->solution.objective, want_lp->solution.objective);
+    EXPECT_EQ(got_lp->lifted_x, want_lp->lifted_x);
+  }
+  const CompressorStats stats = budgeted.stats();
+  EXPECT_EQ(stats.coloring.bytes_in_use, 0);
+  EXPECT_EQ(stats.coloring.artifact_builds + stats.coloring.artifact_hits,
+            stats.coloring.artifact_lookups);
+  // Nothing survives a request, so every artifact lookup rebuilds.
+  EXPECT_EQ(stats.coloring.artifact_hits, 0);
+  EXPECT_EQ(stats.lp_artifact_hits, 0);
+}
+
+// A built artifact joins its entry's footprint, is never rebuilt while its
+// snapshot lives, leaves with the entry on eviction, and is dropped with
+// the snapshots by ApplyGraph.
+TEST(CacheEvictionTest, ArtifactsAreMeteredWithTheirEntry) {
+  const auto graph = Shared(CorpusGraph(5, /*directed=*/true));
+  ColoringCache cache(graph);
+  const ColoringSpec spec =
+      SpecWithPins(RothkoOptions::SplitMean::kArithmetic, {0, 59});
+  const ColoringCache::Handle handle = cache.Refine(spec, 12);
+  const int64_t coloring_bytes = cache.stats().bytes_in_use;
+
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return BuildReducedGraph(*graph, *handle.partition, ReducedWeight::kSum);
+  };
+  const std::shared_ptr<const Graph> reduced =
+      cache.Artifact<Graph>(handle, {"test.c2", 0}, build);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.stats().bytes_in_use,
+            coloring_bytes + reduced->MemoryBytes());
+  EXPECT_EQ(cache.stats().peak_bytes, cache.stats().bytes_in_use);
+
+  // A repeat lookup, also through a later handle on the same snapshot, is
+  // a hit on the same object.
+  const ColoringCache::Handle again = cache.Refine(spec, 12);
+  EXPECT_EQ(again.snapshot, handle.snapshot);
+  EXPECT_EQ(cache.Artifact<Graph>(again, {"test.c2", 0}, build), reduced);
+  EXPECT_EQ(builds, 1);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.artifact_lookups, 2);
+  EXPECT_EQ(stats.artifact_builds, 1);
+  EXPECT_EQ(stats.artifact_hits, 1);
+  EXPECT_EQ(stats.bytes_in_use, coloring_bytes + reduced->MemoryBytes());
+
+  // ApplyGraph drops the snapshot, and its artifact with it.
+  const StatusOr<std::vector<dynamic::EditOp>> edits = dynamic::GenerateEdits(
+      *graph, dynamic::EditKind::kInsertEdge, 4, 3);
+  QSC_CHECK_OK(edits);
+  StatusOr<Graph> mutated = dynamic::ApplyEditBatch(*graph, *edits);
+  QSC_CHECK_OK(mutated);
+  cache.ApplyGraph(Shared(std::move(mutated).value()), *edits, {});
+  EXPECT_LT(cache.stats().bytes_in_use, coloring_bytes);
+  // A late build on the dropped snapshot is served but not metered.
+  const int64_t dropped_bytes = cache.stats().bytes_in_use;
+  cache.Artifact<Graph>(handle, {"test.other", 0}, build);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(cache.stats().bytes_in_use, dropped_bytes);
+
+  // A budget between the coloring's and coloring + artifact's footprint:
+  // the build pushes the entry over and it is evicted.
+  ColoringCacheOptions options;
+  options.byte_budget = coloring_bytes + 1;
+  ColoringCache budgeted(graph, /*pool=*/nullptr, options);
+  const ColoringCache::Handle fits = budgeted.Refine(spec, 12);
+  EXPECT_EQ(budgeted.num_entries(), 1);
+  budgeted.Artifact<Graph>(fits, {"test.c2", 0}, build);
+  EXPECT_EQ(budgeted.num_entries(), 0);
+  EXPECT_EQ(budgeted.stats().bytes_in_use, 0);
+  EXPECT_EQ(budgeted.stats().evictions, 1);
 }
 
 }  // namespace

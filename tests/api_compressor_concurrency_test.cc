@@ -456,5 +456,63 @@ TEST(CompressorConcurrencyTest, ConcurrentDistinctBackendsMatchOracle) {
             static_cast<int64_t>(budgets.size()) * kThreads);
 }
 
+// Eight threads race the first query of one MaxFlow spec (with the c^1
+// lower bound) and of one SolveLp spec: every thread gets the oracle's
+// answer, and each snapshot artifact — the c^2 graph, the c^1 graph, the
+// reduced LP — is built exactly once; every other lookup waits for that
+// build and hits it.
+TEST(CompressorConcurrencyTest, RacingFirstHitsBuildEachArtifactOnce) {
+  const Graph g = StressGraph();
+  const NodeId source = 0;
+  const NodeId sink = g.num_nodes() - 1;
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  QueryOptions options;
+  options.max_colors = 24;
+  options.compute_lower_bound = true;
+
+  Compressor oracle(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  const StatusOr<FlowQueryResult> want_flow =
+      oracle.MaxFlow(source, sink, options);
+  const StatusOr<LpQueryResult> want_lp = oracle.SolveLp(lp, options);
+  QSC_CHECK_OK(want_flow);
+  QSC_CHECK_OK(want_lp);
+
+  constexpr int kThreads = 8;
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  std::vector<double> upper(kThreads), lower(kThreads), objective(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const StatusOr<FlowQueryResult> flow =
+          session.MaxFlow(source, sink, options);
+      const StatusOr<LpQueryResult> solved = session.SolveLp(lp, options);
+      QSC_CHECK_OK(flow);
+      QSC_CHECK_OK(solved);
+      upper[i] = flow->upper_bound;
+      lower[i] = flow->lower_bound;
+      objective[i] = solved->solution.objective;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(upper[i], want_flow->upper_bound) << "thread " << i;
+    EXPECT_EQ(lower[i], want_flow->lower_bound) << "thread " << i;
+    EXPECT_EQ(objective[i], want_lp->solution.objective) << "thread " << i;
+  }
+  const CompressorStats stats = session.stats();
+  EXPECT_EQ(stats.coloring.artifact_lookups, 2 * kThreads);
+  EXPECT_EQ(stats.coloring.artifact_builds, 2);
+  EXPECT_EQ(stats.coloring.artifact_hits, 2 * kThreads - 2);
+  EXPECT_EQ(stats.lp_artifact_lookups, kThreads);
+  EXPECT_EQ(stats.lp_artifact_builds, 1);
+  EXPECT_EQ(stats.lp_artifact_hits, kThreads - 1);
+}
+
 }  // namespace
 }  // namespace qsc

@@ -795,5 +795,162 @@ TEST_P(CompressorApplyEditsTest, RepairsToleranceBoundedSpecsOnly) {
             std::max(bounded_fresh->max_q, bounded.q_tolerance));
 }
 
+// --- snapshot artifacts ---------------------------------------------------
+
+void ExpectArtifactStatsReconcile(const CompressorStats& stats) {
+  EXPECT_EQ(stats.coloring.artifact_builds + stats.coloring.artifact_hits,
+            stats.coloring.artifact_lookups);
+  EXPECT_EQ(stats.lp_artifact_builds + stats.lp_artifact_hits,
+            stats.lp_artifact_lookups);
+}
+
+void ExpectLpMatchesReference(const LpQueryResult& got,
+                              const testing_reference::LpReference& want) {
+  EXPECT_EQ(got.reduced.lp.num_rows, want.reduced.lp.num_rows);
+  EXPECT_EQ(got.reduced.lp.num_cols, want.reduced.lp.num_cols);
+  EXPECT_EQ(got.reduced.lp.b, want.reduced.lp.b);
+  EXPECT_EQ(got.reduced.lp.c, want.reduced.lp.c);
+  EXPECT_EQ(got.reduced.row_color, want.reduced.row_color);
+  EXPECT_EQ(got.reduced.col_color, want.reduced.col_color);
+  EXPECT_EQ(got.solution.status, want.solution.status);
+  EXPECT_EQ(got.solution.objective, want.solution.objective);
+  EXPECT_EQ(got.solution.x, want.solution.x);
+  EXPECT_EQ(got.lifted_x, want.lifted_x);
+}
+
+// Hits served from memoized artifacts equal the kernels composed by hand,
+// bit for bit: MaxFlow with and without the c^1 lower bound, MaxFlowBatch
+// and SolveLp in both reduction variants. Each artifact is built once per
+// snapshot and every later lookup is a hit.
+TEST(CompressorArtifactTest, MemoizedHitsMatchHandComposedKernels) {
+  FlowInstance instance = TestInstance(3);
+  const NodeId s = instance.source;
+  const NodeId t = instance.sink;
+  const NodeId n = instance.graph.num_nodes();
+  const testing_reference::FlowReference want_st =
+      testing_reference::ReferenceMaxFlow(instance.graph, s, t,
+                                          /*max_colors=*/12,
+                                          /*compute_lower_bound=*/true);
+  const testing_reference::FlowReference want_other =
+      testing_reference::ReferenceMaxFlow(instance.graph, 0, n - 1,
+                                          /*max_colors=*/12);
+
+  Compressor session(std::move(instance.graph));
+  QueryOptions query;
+  query.max_colors = 12;
+  for (int i = 0; i < 3; ++i) {
+    const auto upper = session.MaxFlow(s, t, query);
+    ASSERT_TRUE(upper.ok());
+    EXPECT_EQ(upper->upper_bound, want_st.upper_bound);
+    EXPECT_EQ(upper->lower_bound, 0.0);
+  }
+  CompressorStats stats = session.stats();
+  EXPECT_EQ(stats.coloring.artifact_builds, 1);  // the c^2 graph
+  EXPECT_EQ(stats.coloring.artifact_hits, 2);
+
+  QueryOptions bounded = query;
+  bounded.compute_lower_bound = true;
+  for (int i = 0; i < 3; ++i) {
+    const auto both = session.MaxFlow(s, t, bounded);
+    ASSERT_TRUE(both.ok());
+    EXPECT_EQ(both->upper_bound, want_st.upper_bound);
+    EXPECT_EQ(both->lower_bound, want_st.lower_bound);
+    EXPECT_TRUE(*both->coloring == want_st.coloring);
+  }
+  stats = session.stats();
+  EXPECT_EQ(stats.coloring.artifact_builds, 2);  // + the c^1 graph
+  EXPECT_EQ(stats.coloring.artifact_hits, 2 + 3 + 2);
+
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {s, t}, {0, n - 1}, {s, t}, {0, n - 1}};
+  for (int i = 0; i < 2; ++i) {
+    const auto batch = session.MaxFlowBatch(pairs, query);
+    ASSERT_TRUE(batch.ok());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      const testing_reference::FlowReference& want =
+          pairs[k].first == s ? want_st : want_other;
+      EXPECT_EQ((*batch)[k].upper_bound, want.upper_bound) << k;
+      EXPECT_TRUE(*(*batch)[k].coloring == want.coloring) << k;
+    }
+  }
+  stats = session.stats();
+  EXPECT_EQ(stats.coloring.artifact_builds, 3);  // + (0, n-1)'s c^2 graph
+  ExpectArtifactStatsReconcile(stats);
+
+  const LpProblem lp = MakeQapLikeLp(6, 3);
+  for (const LpReduction variant :
+       {LpReduction::kSqrtNormalized, LpReduction::kGrohe}) {
+    const testing_reference::LpReference want =
+        testing_reference::ReferenceSolveLp(lp, /*max_colors=*/16, variant);
+    QueryOptions lp_query;
+    lp_query.max_colors = 16;
+    lp_query.lp_variant = variant;
+    for (int i = 0; i < 3; ++i) {
+      const auto got = session.SolveLp(lp, lp_query);
+      ASSERT_TRUE(got.ok());
+      ExpectLpMatchesReference(*got, want);
+    }
+  }
+  stats = session.stats();
+  EXPECT_EQ(stats.lp_artifact_builds, 2);  // one reduced LP per variant
+  EXPECT_EQ(stats.lp_artifact_hits, 4);
+  ExpectArtifactStatsReconcile(stats);
+}
+
+// Edits drop every snapshot and its artifacts: after ApplyEdits each
+// answer equals a fresh session's on the mutated graph, and the first
+// post-edit hit rebuilds its artifacts.
+TEST(CompressorArtifactTest, ApplyEditsNeverServesStaleArtifacts) {
+  FlowInstance instance = TestInstance(7);
+  const NodeId s = instance.source;
+  const NodeId t = instance.sink;
+  const NodeId n = instance.graph.num_nodes();
+  Compressor session(Graph{instance.graph});
+  QueryOptions query;
+  query.max_colors = 12;
+  query.compute_lower_bound = true;
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{s, t}, {0, n - 1}};
+
+  Graph expected = std::move(instance.graph);
+  for (uint64_t batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 2; ++i) {  // a miss or post-edit query, then a hit
+      ASSERT_TRUE(session.MaxFlow(s, t, query).ok());
+      ASSERT_TRUE(session.MaxFlowBatch(pairs, query).ok());
+    }
+    const int64_t builds = session.stats().coloring.artifact_builds;
+    const StatusOr<std::vector<dynamic::EditOp>> edits = dynamic::GenerateEdits(
+        expected,
+        batch % 2 == 0 ? dynamic::EditKind::kDeleteEdge
+                       : dynamic::EditKind::kInsertEdge,
+        12, 50 + batch);
+    QSC_CHECK_OK(edits);
+    QSC_CHECK_OK(session.ApplyEdits(*edits));
+    StatusOr<Graph> next = dynamic::ApplyEditBatch(expected, *edits);
+    QSC_CHECK_OK(next);
+    expected = std::move(next).value();
+
+    Compressor fresh(std::shared_ptr<const Graph>(
+        std::shared_ptr<const Graph>(), &expected));
+    const auto got = session.MaxFlow(s, t, query);
+    const auto want = fresh.MaxFlow(s, t, query);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->upper_bound, want->upper_bound);
+    EXPECT_EQ(got->lower_bound, want->lower_bound);
+    EXPECT_TRUE(*got->coloring == *want->coloring);
+    const auto got_batch = session.MaxFlowBatch(pairs, query);
+    const auto want_batch = fresh.MaxFlowBatch(pairs, query);
+    ASSERT_TRUE(got_batch.ok());
+    ASSERT_TRUE(want_batch.ok());
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_EQ((*got_batch)[k].upper_bound, (*want_batch)[k].upper_bound);
+      EXPECT_EQ((*got_batch)[k].lower_bound, (*want_batch)[k].lower_bound);
+    }
+    // Both specs' c^2 and c^1 graphs were rebuilt on the new graph.
+    EXPECT_EQ(session.stats().coloring.artifact_builds, builds + 4);
+  }
+  ExpectArtifactStatsReconcile(session.stats());
+}
+
 }  // namespace
 }  // namespace qsc

@@ -1,8 +1,8 @@
-// Independent references for the Compressor's MaxFlow and Centrality
-// queries: the kernels underneath the session, composed by hand with no
-// cache, registry or session in between. Tests compare session results
-// against these bitwise, so a session-layer regression cannot hide behind
-// a reference that is itself a session.
+// Independent references for the Compressor's MaxFlow, SolveLp and
+// Centrality queries: the kernels underneath the session, composed by
+// hand with no cache, registry or session in between. Tests compare
+// session results against these bitwise, so a session-layer regression
+// cannot hide behind a reference that is itself a session.
 
 #ifndef QSC_TESTS_KERNEL_REFERENCE_H_
 #define QSC_TESTS_KERNEL_REFERENCE_H_
@@ -18,6 +18,9 @@
 #include "qsc/flow/push_relabel.h"
 #include "qsc/flow/uniform_flow.h"
 #include "qsc/graph/graph.h"
+#include "qsc/lp/model.h"
+#include "qsc/lp/reduce.h"
+#include "qsc/lp/simplex.h"
 
 namespace qsc {
 namespace testing_reference {
@@ -58,6 +61,33 @@ inline FlowReference ReferenceMaxFlow(const Graph& g, NodeId source,
         Graph::FromEdges(p.num_colors(), arcs, /*undirected=*/false);
     out.lower_bound =
         MaxFlowPushRelabel(lower, p.ColorOf(source), p.ColorOf(sink));
+  }
+  return out;
+}
+
+struct LpReference {
+  ReducedLp reduced;
+  LpResult solution;
+  std::vector<double> lifted_x;  // empty unless the solve is optimal
+};
+
+// Sec 4.1 by hand: Rothko (alpha = 1, beta = 0) on the LP's matrix graph
+// from its four-color base partition, the reduced LP of `variant`, the
+// simplex on it, and the lift.
+inline LpReference ReferenceSolveLp(const LpProblem& lp, ColorId max_colors,
+                                    LpReduction variant =
+                                        LpReduction::kSqrtNormalized) {
+  LpMatrixGraph matrix = BuildLpMatrixGraph(lp);
+  RothkoOptions options;
+  options.max_colors = max_colors;
+  options.alpha = 1.0;
+  const Partition coloring = RothkoColoring(
+      matrix.graph, InitialPartition(ColoringSpec{}, matrix.initial), options);
+  LpReference out;
+  out.reduced = ExtractReducedLp(lp, coloring, variant);
+  out.solution = SolveSimplex(out.reduced.lp);
+  if (out.solution.status == LpStatus::kOptimal) {
+    out.lifted_x = LiftSolution(out.reduced, out.solution.x);
   }
   return out;
 }
