@@ -4,34 +4,31 @@
 #include <utility>
 
 #include "qsc/api/hashing.h"
-#include "qsc/parallel/thread_pool.h"
 #include "qsc/util/timer.h"
 
 namespace qsc {
 namespace {
 
-ColoringParams ToColoringParams(const ColoringSpec& spec, ThreadPool* pool) {
+ColoringParams ToColoringParams(const ColoringSpec& spec) {
   ColoringParams params;
   // The color budget is owned by the Refine() loop, not the backend.
   params.q_tolerance = spec.q_tolerance;
   params.alpha = spec.alpha;
   params.beta = spec.beta;
   params.split_mean = spec.split_mean;
-  params.pool = pool;  // speeds up internal scans; never changes a split
   return params;
 }
 
 // Builds the spec's refiner over `view` from its initial partition.
 // Aborts on unknown backend names (the Compressor boundary validates
 // before a spec reaches the cache).
-std::unique_ptr<RothkoRefiner> MakeBackend(const GraphView& view,
-                                           const ColoringSpec& spec,
-                                           const std::optional<Partition>& base,
-                                           ThreadPool* pool) {
+std::unique_ptr<RothkoRefiner> MakeBackend(
+    const GraphView& view, const ColoringSpec& spec,
+    const std::optional<Partition>& base) {
   return MakeRefiner(api_internal::BackendOrDefault(spec.backend), view,
                      base.has_value() ? InitialPartition(spec, *base)
                                       : InitialPartition(spec, view.num_nodes()),
-                     ToColoringParams(spec, pool));
+                     ToColoringParams(spec));
 }
 
 }  // namespace
@@ -191,11 +188,9 @@ struct ColoringCache::Entry {
 };
 
 ColoringCache::ColoringCache(std::shared_ptr<const Graph> graph,
-                             ThreadPool* pool,
                              const ColoringCacheOptions& options,
                              std::optional<Partition> base)
     : graph_(std::move(graph)),
-      pool_(pool),
       options_(options),
       base_(std::move(base)) {
   QSC_CHECK(graph_ != nullptr);
@@ -207,11 +202,9 @@ ColoringCache::ColoringCache(std::shared_ptr<const Graph> graph,
 
 ColoringCache::ColoringCache(GraphView view,
                              std::shared_ptr<const void> keepalive,
-                             ThreadPool* pool,
                              const ColoringCacheOptions& options)
     : view_(std::move(view)),
       keepalive_(std::move(keepalive)),
-      pool_(pool),
       options_(options) {
   QSC_CHECK_GE(options_.byte_budget, 0);
 }
@@ -287,7 +280,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
   {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     if (entry->refiner == nullptr) {
-      entry->refiner = MakeBackend(entry->view, spec, base_, pool_);
+      entry->refiner = MakeBackend(entry->view, spec, base_);
       entry->initial_colors = entry->refiner->partition().num_colors();
     }
 
@@ -306,7 +299,7 @@ ColoringCache::Handle ColoringCache::Refine(const ColoringSpec& spec,
         handle.snapshot = served->second;
       } else {
         const std::unique_ptr<RothkoRefiner> fresh =
-            MakeBackend(entry->view, spec, base_, pool_);
+            MakeBackend(entry->view, spec, base_);
         const ColorId initial = fresh->partition().num_colors();
         fresh->RefineTo(budget);
         handle.splits = fresh->partition().num_colors() - initial;
@@ -400,13 +393,13 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
       dynamic::RepairOutcome outcome;
       std::unique_ptr<RothkoRefiner> repaired = dynamic::TryRepair(
           backend_name, view_, entry->refiner->partition(),
-          ToColoringParams(spec, pool_), options, &outcome);
+          ToColoringParams(spec), options, &outcome);
       // Fallback: rebuild from the spec's initial partition, as the entry
       // was first built. Refinement from here is bit-identical to a
       // from-scratch run on the new graph.
       entry->refiner = repaired != nullptr
                            ? std::move(repaired)
-                           : MakeBackend(view_, spec, base_, pool_);
+                           : MakeBackend(view_, spec, base_);
       entry->converged = outcome.converged;
       // Snapshots of the old graph's colorings — and the artifacts built
       // from them — must not be served again.

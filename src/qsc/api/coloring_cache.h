@@ -76,8 +76,6 @@
 
 namespace qsc {
 
-class ThreadPool;
-
 // Cache key: the parameters that determine the backend's split sequence
 // from a given graph. The color budget is deliberately absent — one entry
 // serves every budget via the anytime property.
@@ -231,15 +229,12 @@ class ColoringCache {
     std::shared_ptr<Snapshot> snapshot;
   };
 
-  // `graph` must be non-null; the cache shares ownership. `pool` (not
-  // owned, may be null) accelerates each refiner's split scoring without
-  // changing any partition — refinement is bit-identical for any pool
-  // size (RothkoOptions::pool). `options` configures the byte budget.
+  // `graph` must be non-null; the cache shares ownership. `options`
+  // configures the byte budget. Refinement runs on the calling thread.
   // `base`, when set, is the partition every spec's pins refine (an LP's
   // matrix graph starts from its four row/objective/column/rhs colors);
   // unset means one shared color.
   explicit ColoringCache(std::shared_ptr<const Graph> graph,
-                         ThreadPool* pool = nullptr,
                          const ColoringCacheOptions& options = {},
                          std::optional<Partition> base = std::nullopt);
 
@@ -249,7 +244,6 @@ class ColoringCache {
   // MappedGraph. graph() is invalid on such a cache until the first
   // ApplyGraph(); every other member behaves identically.
   ColoringCache(GraphView view, std::shared_ptr<const void> keepalive,
-                ThreadPool* pool = nullptr,
                 const ColoringCacheOptions& options = {});
   ~ColoringCache();
 
@@ -369,7 +363,6 @@ class ColoringCache {
   std::shared_ptr<const Graph> graph_;
   GraphView view_;
   std::shared_ptr<const void> keepalive_;
-  ThreadPool* pool_;
   ColoringCacheOptions options_;
   std::optional<Partition> base_;  // immutable; edits keep the node count
 

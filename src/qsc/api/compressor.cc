@@ -150,7 +150,7 @@ class Compressor::Impl {
     if (graph_ != nullptr) {
       view_ = GraphView(*graph_);
       if (graph_->num_nodes() > 0) {
-        cache_ = std::make_unique<ColoringCache>(graph_, pool_, cache_options_);
+        cache_ = std::make_unique<ColoringCache>(graph_, cache_options_);
       }
     }
   }
@@ -166,8 +166,7 @@ class Compressor::Impl {
     QSC_CHECK(mapped_ != nullptr);
     view_ = GraphView::Of(*mapped_);
     if (view_.num_nodes() > 0) {
-      cache_ = std::make_unique<ColoringCache>(view_, mapped_, pool_,
-                                               cache_options_);
+      cache_ = std::make_unique<ColoringCache>(view_, mapped_, cache_options_);
     }
   }
 
@@ -293,7 +292,7 @@ class Compressor::Impl {
       if (entry.cache == nullptr) {
         LpMatrixGraph matrix = BuildLpMatrixGraph(entry.lp);
         entry.cache = std::make_unique<ColoringCache>(
-            std::make_shared<const Graph>(std::move(matrix.graph)), pool_,
+            std::make_shared<const Graph>(std::move(matrix.graph)),
             cache_options_, std::move(matrix.initial));
       }
       cache = entry.cache.get();

@@ -30,11 +30,12 @@
 // batch. The reference from graph() is only stable until the next
 // ApplyEdits; capture what you need, not the reference, across edits.
 //
-// Constructed with a ThreadPool, the session also parallelizes inside
-// queries: Rothko split scoring, MaxFlowBatch fan-out, and the Centrality
-// pivot passes all run on the pool, again with bit-identical results for
-// any pool size (the deterministic ordered-commit primitives of
-// qsc/parallel).
+// Constructed with a ThreadPool, the session also parallelizes across the
+// independent parts of a query: MaxFlowBatch fans its pairs out and
+// Centrality runs its pivot passes on the pool, again with bit-identical
+// results for any pool size (the deterministic ordered-commit primitives
+// of qsc/parallel). Refinement itself is sequential; distinct specs in
+// one batch refine concurrently, each on its own pool worker.
 
 #ifndef QSC_API_COMPRESSOR_H_
 #define QSC_API_COMPRESSOR_H_

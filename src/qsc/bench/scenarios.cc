@@ -59,28 +59,23 @@ std::string BudgetKey(ColorId budget, const char* metric) {
 
 // Registers a Rothko refinement scenario over `factory`'s graph. The
 // per-scenario `salt` decorrelates instances that share a CLI seed.
-// `parallel` scenarios refine on the CLI-sized default pool; their
-// counters must match the sequential twin bit for bit (the qsc/parallel
-// determinism contract, enforced by the CI counter-identity gate).
 void RegisterRothko(const char* name, bool smoke, const char* description,
                     Graph (*factory)(uint64_t seed), uint64_t salt,
                     ColorId max_colors,
                     RothkoOptions::SplitMean split_mean =
-                        RothkoOptions::SplitMean::kArithmetic,
-                    bool parallel = false) {
+                        RothkoOptions::SplitMean::kArithmetic) {
   Scenario::Info info;
   info.name = name;
   info.group = "coloring";
   info.description = description;
   info.smoke = smoke;
   ScenarioRegistry::Global().Register(Scenario(
-      std::move(info), [factory, salt, max_colors, split_mean,
-                        parallel](const BenchContext& ctx) {
+      std::move(info),
+      [factory, salt, max_colors, split_mean](const BenchContext& ctx) {
         const Graph g = factory(ctx.seed ^ salt);
         RothkoOptions options;
         options.max_colors = max_colors;
         options.split_mean = split_mean;
-        if (parallel) options.pool = DefaultPool();
         ColorId num_colors = 0;
         double splits = 0.0, max_q = 0.0;
         ScenarioResult r;
@@ -171,16 +166,6 @@ void RegisterColoringScenarios() {
   RegisterRothko("coloring/rothko-er-100k-c128", /*smoke=*/false,
                  "Rothko to 128 colors on a G(100k, 400k) Erdos-Renyi graph",
                  &Er100k, 0x9a05, 128);
-  RegisterRothko("coloring/rothko-parallel-ba-100k", /*smoke=*/true,
-                 "the headline refinement on the --threads pool; counters "
-                 "must equal rothko-ba-100k-c256 at every thread count",
-                 &Ba100k, 0x9a02, 256,
-                 RothkoOptions::SplitMean::kArithmetic, /*parallel=*/true);
-  RegisterRothko("coloring/rothko-parallel-ba-10k", /*smoke=*/false,
-                 "TSan-sized parallel refinement (the CI thread-sanitizer "
-                 "job drives this by name)",
-                 &Ba10k, 0x9a01, 64,
-                 RothkoOptions::SplitMean::kArithmetic, /*parallel=*/true);
   RegisterRothko("coloring/rothko-grid-10k-c64", /*smoke=*/true,
                  "Rothko to 64 colors on a 100x100 segmentation grid",
                  &Grid10k, 0x9a06, 64);

@@ -15,7 +15,6 @@
 #include "qsc/coloring/backend.h"
 #include "qsc/coloring/q_error.h"
 #include "qsc/graph/generators.h"
-#include "qsc/parallel/thread_pool.h"
 #include "qsc/util/random.h"
 
 namespace qsc {
@@ -42,10 +41,6 @@ void RegisterParetoBa10k() {
         const Graph g = BarabasiAlbert(10000, 3, rng);
 
         const std::vector<std::string> names = BackendNames();
-        // Split scoring runs on the --threads pool; the counters are
-        // identical for every pool size (the determinism contract).
-        ColoringParams params;
-        params.pool = DefaultPool();
 
         ScenarioResult r;
         r.params = {{"nodes", static_cast<double>(g.num_nodes())},
@@ -56,7 +51,7 @@ void RegisterParetoBa10k() {
           r.counters.clear();
           for (const std::string& name : names) {
             const std::unique_ptr<RothkoRefiner> backend = MakeRefiner(
-                name, g, Partition::Trivial(g.num_nodes()), params);
+                name, g, Partition::Trivial(g.num_nodes()), ColoringParams());
             for (const ColorId budget : kBudgets) {
               backend->RefineTo(budget);
               r.counters.emplace_back(

@@ -12,8 +12,6 @@
 
 namespace qsc {
 
-class ThreadPool;
-
 // Split-threshold rule for witness splits (paper Sec 5.2). Named
 // RothkoOptions::SplitMean at most call sites via the nested alias in
 // rothko.h; semantics are backend-agnostic — any kernel that thresholds
@@ -43,12 +41,6 @@ struct ColoringParams {
   double q_tolerance = 0.0;
 
   SplitMean split_mean = SplitMean::kArithmetic;
-
-  // Optional worker pool (qsc/parallel). Backends may use it to
-  // accelerate internal scans but MUST produce bit-identical partitions
-  // for every pool size, including none (the qsc/parallel determinism
-  // contract). Not owned; must outlive the backend instance.
-  ThreadPool* pool = nullptr;
 };
 
 }  // namespace qsc

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "qsc/coloring/flat_rows.h"
 #include "qsc/coloring/witness_spread.h"
-#include "qsc/parallel/parallel_for.h"
 #include "qsc/util/timer.h"
 
 namespace qsc {
 namespace {
-
-// Members below these sizes are cheaper to scan inline than to dispatch;
-// both thresholds only gate the dispatch, never the result (the parallel
-// and sequential paths are bit-identical by construction).
-constexpr int64_t kMinParallelMembers = 4096;
-constexpr int64_t kMemberGrain = 2048;
 
 // Degree-row slots reserved for a hub; its row moves once it holds more
 // colors (see BuildDegreeRows).
@@ -157,7 +151,6 @@ class RothkoRefiner::Impl {
         split_values_.capacity() * sizeof(double) +
         eject_.capacity() * sizeof(NodeId) +
         affected_scratch_.capacity() * sizeof(ColorId) +
-        score_scratch_.capacity() * sizeof(SplitPairScore) +
         history_.capacity() * sizeof(RothkoStep));
     return bytes + rule_->MemoryBytes();
   }
@@ -340,69 +333,35 @@ class RothkoRefiner::Impl {
     PushEntries(src, dst, direction, agg);
   }
 
-  // The two recomputed aggregates of one affected color: stats over its
-  // members toward the split color and toward the new color.
-  struct SplitPairScore {
-    PairAgg split_agg;
-    PairAgg new_agg;
-  };
-
-  // Scores the two aggregates over members of `c` toward the split halves
-  // in ONE pass over the members' rows (this is the per-split hot loop —
-  // every color adjacent to the split pays it). `new_key` is the
-  // just-created color and therefore the maximum id, so its entry can only
-  // sit at a row's tail: an O(1) check replaces the second binary search.
-  //
-  // Pure with respect to shared state (reads the partition and the degree
-  // rows, writes nothing), so distinct colors score concurrently; the
-  // order-sensitive half — version assignment and heap pushes — lives in
-  // CommitSplitPair, which ParallelOrderedFor serializes in the exact
-  // sequential order.
-  SplitPairScore ScoreSplitPair(ColorId c, ColorId split_key, ColorId new_key,
-                                const FlatWeightRows& deg) const {
-    QSC_DCHECK(new_key + 1 == partition_.num_colors());
-    SplitPairScore score;
-    for (NodeId v : partition_.Members(c)) {
-      const FlatWeightRows::Row row = deg.RowOf(v);
-      if (row.empty()) continue;
-      if (row.back().key == new_key) {
-        score.new_agg.Merge(row.back().weight);
-      }
-      const double* w = deg.FindWeight(v, split_key);
-      if (w != nullptr) score.split_agg.Merge(*w);
-    }
-    return score;
-  }
-
-  void CommitSplitPair(ColorId c, ColorId split_key, ColorId new_key,
-                       const SplitPairScore& score, AggRow& aggs,
-                       bool source_side, uint8_t direction) {
-    StoreAndPush(c, split_key, score.split_agg, aggs, source_side, direction);
-    StoreAndPush(c, new_key, score.new_agg, aggs, source_side, direction);
-  }
-
   // Recomputes every affected color's aggregates toward the two split
-  // halves: scored in parallel over the pool, committed in list order.
+  // halves, in list order (the order fixes the version stamps). One pass
+  // over a color's member rows scores both halves (this is the per-split
+  // hot loop — every color adjacent to the split pays it): `new_key` is the
+  // just-created color and therefore the maximum id, so its entry can only
+  // sit at a row's tail, and an O(1) check replaces the second binary
+  // search.
   void RecomputeAffected(const std::vector<ColorId>& colors,
                          ColorId split_key, ColorId new_key,
                          const FlatWeightRows& deg, std::vector<AggRow>& aggs,
                          bool source_side, uint8_t direction) {
-    score_scratch_.resize(colors.size());
-    ParallelOrderedFor(
-        options_.pool, static_cast<int64_t>(colors.size()),
-        [&](int64_t k) {
-          score_scratch_[k] =
-              ScoreSplitPair(colors[k], split_key, new_key, deg);
-        },
-        [&](int64_t k) {
-          CommitSplitPair(colors[k], split_key, new_key, score_scratch_[k],
-                          aggs[colors[k]], source_side, direction);
-        });
+    QSC_DCHECK(new_key + 1 == partition_.num_colors());
+    for (const ColorId c : colors) {
+      PairAgg split_agg;
+      PairAgg new_agg;
+      for (NodeId v : partition_.Members(c)) {
+        const FlatWeightRows::Row row = deg.RowOf(v);
+        if (row.empty()) continue;
+        if (row.back().key == new_key) new_agg.Merge(row.back().weight);
+        const double* w = deg.FindWeight(v, split_key);
+        if (w != nullptr) split_agg.Merge(*w);
+      }
+      StoreAndPush(c, split_key, split_agg, aggs[c], source_side, direction);
+      StoreAndPush(c, new_key, new_agg, aggs[c], source_side, direction);
+    }
   }
 
   // Filters the split halves out of a touched-color list into
-  // affected_scratch_, preserving touch order (the sequential commit
-  // order).
+  // affected_scratch_, preserving touch order (the commit order).
   void GatherAffected(const std::vector<ColorId>& touched, ColorId split_color,
                       ColorId new_color) {
     affected_scratch_.clear();
@@ -439,31 +398,17 @@ class RothkoRefiner::Impl {
     const size_t size = members.size();
     QSC_CHECK_GE(size, 2u);
 
-    // Witness degrees of every member (0 when absent). The gather is
-    // independent per member and the min/max envelope is an associative
-    // reduction, so both parallelize bit-identically; anything
-    // order-sensitive is the rule's, over the materialized values.
+    // Witness degrees of every member (0 when absent) and their envelope;
+    // anything order-sensitive is the rule's, over the materialized values.
     std::vector<double>& values = split_values_;
     values.resize(size);
-    ThreadPool* scan_pool =
-        static_cast<int64_t>(size) >= kMinParallelMembers ? options_.pool
-                                                          : nullptr;
-    ParallelFor(scan_pool, static_cast<int64_t>(size), kMemberGrain,
-                [&](int64_t i) {
-                  values[i] = deg_rows.WeightOrZero(members[i], other);
-                });
-    struct Envelope {
-      double lo, hi;
-    };
-    const Envelope env = ParallelReduce(
-        scan_pool, static_cast<int64_t>(size), kMemberGrain,
-        Envelope{values[0], values[0]},
-        [&](int64_t i) { return Envelope{values[i], values[i]}; },
-        [](const Envelope& a, const Envelope& b) {
-          return Envelope{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-        });
-    const double lo = env.lo;
-    const double hi = env.hi;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (size_t i = 0; i < size; ++i) {
+      values[i] = deg_rows.WeightOrZero(members[i], other);
+      lo = std::min(lo, values[i]);
+      hi = std::max(hi, values[i]);
+    }
     QSC_CHECK_GT(hi, lo);  // Witness error was positive.
 
     std::vector<NodeId>& eject = eject_;
@@ -579,7 +524,6 @@ class RothkoRefiner::Impl {
   std::vector<double> split_values_;
   std::vector<NodeId> eject_;
   std::vector<ColorId> affected_scratch_;
-  std::vector<SplitPairScore> score_scratch_;
 
   WallTimer timer_;
   std::vector<RothkoStep> history_;

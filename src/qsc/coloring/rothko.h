@@ -40,20 +40,14 @@
 
 namespace qsc {
 
-class ThreadPool;
-
-// The shared knobs (alpha, beta, q_tolerance, split_mean, pool) live in
+// The shared knobs (alpha, beta, q_tolerance, split_mean) live in
 // ColoringParams (coloring/params.h) so every backend consumes the same
 // struct; RothkoOptions adds only the Rothko-specific stopping rule.
 //
-// Pool semantics for Rothko specifically: candidate colors are scored
-// concurrently but scores commit through an ordered reduction, so the
-// split sequence — and therefore every partition and q-error this refiner
-// produces — is bit-identical for any pool size, including none
-// (tests/coloring_rothko_equivalence_test.cc checks threads 1/2/8 against
-// the frozen reference). The pool does NOT make the refiner itself
-// thread-safe: concurrent Step() calls still require external
-// serialization.
+// Refinement is sequential (Algorithm 1 is one split after another); a
+// refiner is not thread-safe, so concurrent Step() calls require external
+// serialization. Parallelism lives a level up, across queries
+// (api/compressor.h).
 struct RothkoOptions : ColoringParams {
   // Pre-registry spelling of the split-threshold rule; the enumerators are
   // the namespace-scope qsc::SplitMean ones.
@@ -130,10 +124,10 @@ class SplitRule {
 //      coloring converged (max error <= q_tolerance, or no splittable
 //      color remains).
 //   2. Determinism: the split sequence is a function of (graph, current
-//      partition, options, rule) only — independent of wall clock, thread
-//      pool size, and of how Step() calls were batched. This is what makes
-//      a budget-B continuation of a cached instance bit-identical to a
-//      fresh run at budget B, the ColoringCache resume guarantee.
+//      partition, options, rule) only — independent of wall clock and of
+//      how Step() calls were batched. This is what makes a budget-B
+//      continuation of a cached instance bit-identical to a fresh run at
+//      budget B, the ColoringCache resume guarantee.
 //   3. partition() snapshots are valid partitions of the graph's node set
 //      and refine monotonically (colors only split, never merge), so
 //      pinned singletons stay pinned.

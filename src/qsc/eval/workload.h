@@ -31,6 +31,9 @@
 #include "qsc/lp/simplex.h"
 
 namespace qsc {
+
+class ThreadPool;
+
 namespace eval {
 
 class JsonWriter;

@@ -29,9 +29,9 @@ enum class LpReduction {
   kGrohe,           // [16]:    A^(r,s) = A(P_r,Q_s)/|Q_s|, b^ = b(P_r)
 };
 
-// The shared coloring knobs (alpha, beta, q_tolerance, split_mean, pool)
-// come from ColoringParams; the constructor flips alpha to the paper's LP
-// default (alpha=1, beta=0). The pool never changes the reduction.
+// The shared coloring knobs (alpha, beta, q_tolerance, split_mean) come
+// from ColoringParams; the constructor flips alpha to the paper's LP
+// default (alpha=1, beta=0).
 struct LpReduceOptions : ColoringParams {
   LpReduceOptions() { alpha = 1.0; }
 

@@ -3,14 +3,14 @@
 // qsc parallelizes by *chunked fan-out with ordered commit*: a range of
 // independent work items is cut into chunks whose boundaries depend only
 // on the range and the grain — never on the worker count — and any result
-// that is order-sensitive (floating-point reductions, heap pushes, version
-// assignment) is folded back strictly in chunk-index order on one thread.
+// that is order-sensitive (floating-point sums, for example) is folded
+// back strictly in chunk-index order on one thread.
 // Everything built on these primitives is therefore **bit-identical for
 // every pool size, including 1**: the thread count changes wall-clock
-// time, nothing else. The Rothko split scorer, the Compressor query
-// fan-outs, and the bench/eval `--threads` plumbing all rest on this
-// contract (enforced by tests/parallel_thread_pool_test.cc and the
-// threads-{1,2,8} legs of tests/coloring_rothko_equivalence_test.cc).
+// time, nothing else. The Compressor query fan-outs (MaxFlowBatch pairs,
+// Centrality pivot passes) and the bench/eval `--threads` plumbing rest
+// on this contract (enforced by tests/parallel_thread_pool_test.cc and
+// tests/api_compressor_concurrency_test.cc).
 //
 // The pool itself is deliberately small: a fixed set of workers, no work
 // stealing, no task futures. One job = one chunked loop; workers and the

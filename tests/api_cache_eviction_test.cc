@@ -79,7 +79,7 @@ TEST(CacheEvictionTest, EvictedSpecRecomputesBitIdenticallyAcrossCorpus) {
         // spec must evict the first.
         ColoringCacheOptions options;
         options.byte_budget = one_entry_bytes;
-        ColoringCache cache(graph, /*pool=*/nullptr, options);
+        ColoringCache cache(graph, options);
 
         const auto first = cache.Refine(spec_a, budget);
         EXPECT_EQ(*first.partition, *want.partition);
@@ -124,7 +124,7 @@ TEST(CacheEvictionTest, UpBudgetContinuationSurvivesEviction) {
 
     ColoringCacheOptions options;
     options.byte_budget = warm_bytes;
-    ColoringCache cache(graph, /*pool=*/nullptr, options);
+    ColoringCache cache(graph, options);
     cache.Refine(spec_a, 8);
     const auto up = cache.Refine(spec_a, 20);
     EXPECT_EQ(*up.partition, *continued.partition);
@@ -170,7 +170,7 @@ TEST(CacheEvictionTest, TinyBudgetDegeneratesToCacheNothing) {
 
   ColoringCacheOptions options;
   options.byte_budget = 1;
-  ColoringCache cache(graph, /*pool=*/nullptr, options);
+  ColoringCache cache(graph, options);
   for (int i = 0; i < 3; ++i) {
     const auto got = cache.Refine(spec, 12);
     EXPECT_EQ(*got.partition, *want.partition);
@@ -322,7 +322,7 @@ TEST(CacheEvictionTest, ArtifactsAreMeteredWithTheirEntry) {
   // the build pushes the entry over and it is evicted.
   ColoringCacheOptions options;
   options.byte_budget = coloring_bytes + 1;
-  ColoringCache budgeted(graph, /*pool=*/nullptr, options);
+  ColoringCache budgeted(graph, options);
   const ColoringCache::Handle fits = budgeted.Refine(spec, 12);
   EXPECT_EQ(budgeted.num_entries(), 1);
   budgeted.Artifact<Graph>(fits, {"test.c2", 0}, build);

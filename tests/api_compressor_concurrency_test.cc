@@ -255,6 +255,9 @@ TEST(CompressorConcurrencyTest, ByteBudgetChurnMatchesOracle) {
   EXPECT_GT(stats.coloring.peak_bytes, 0);
 }
 
+// Refinement itself is sequential, so this is the pool contract for every
+// split rule: the batch's distinct specs refine on pool workers, nested
+// inside the fan-out, and must still match a pool-less session bitwise.
 TEST(CompressorConcurrencyTest, ParallelBatchMatchesSequentialLoop) {
   const Graph g = StressGraph();
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -263,33 +266,38 @@ TEST(CompressorConcurrencyTest, ParallelBatchMatchesSequentialLoop) {
   }
   pairs.push_back(pairs.front());  // a repeat, to exercise the shared spec
 
-  QueryOptions options;
-  options.max_colors = 24;
-
   ThreadPool pool(4);
-  Compressor parallel_session(
-      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g), &pool);
-  const StatusOr<std::vector<FlowQueryResult>> batch =
-      parallel_session.MaxFlowBatch(pairs, options);
-  QSC_CHECK_OK(batch);
+  for (const char* backend : {"rothko", "lp-rounding", "bucket"}) {
+    SCOPED_TRACE(backend);
+    QueryOptions options;
+    options.max_colors = 24;
+    options.backend = backend;
 
-  Compressor sequential_session(
-      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
-  ASSERT_EQ(batch->size(), pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const StatusOr<FlowQueryResult> want = sequential_session.MaxFlow(
-        pairs[i].first, pairs[i].second, options);
-    QSC_CHECK_OK(want);
-    EXPECT_EQ((*batch)[i].upper_bound, want->upper_bound) << "pair " << i;
-    EXPECT_EQ((*batch)[i].num_colors, want->num_colors) << "pair " << i;
-    EXPECT_TRUE(*(*batch)[i].coloring == *want->coloring) << "pair " << i;
+    Compressor parallel_session(
+        std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g),
+        &pool);
+    const StatusOr<std::vector<FlowQueryResult>> batch =
+        parallel_session.MaxFlowBatch(pairs, options);
+    QSC_CHECK_OK(batch);
+
+    Compressor sequential_session(
+        std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+    ASSERT_EQ(batch->size(), pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const StatusOr<FlowQueryResult> want = sequential_session.MaxFlow(
+          pairs[i].first, pairs[i].second, options);
+      QSC_CHECK_OK(want);
+      EXPECT_EQ((*batch)[i].upper_bound, want->upper_bound) << "pair " << i;
+      EXPECT_EQ((*batch)[i].num_colors, want->num_colors) << "pair " << i;
+      EXPECT_TRUE(*(*batch)[i].coloring == *want->coloring) << "pair " << i;
+    }
+
+    // The repeated pair shares its spec's coloring: 7 lookups, 6 specs.
+    const CompressorStats stats = parallel_session.stats();
+    EXPECT_EQ(stats.coloring.lookups, 7);
+    EXPECT_EQ(stats.coloring.misses, 6);
+    EXPECT_EQ(stats.coloring.hits, 1);
   }
-
-  // The repeated pair shares its spec's coloring: 7 lookups, 6 specs.
-  const CompressorStats stats = parallel_session.stats();
-  EXPECT_EQ(stats.coloring.lookups, 7);
-  EXPECT_EQ(stats.coloring.misses, 6);
-  EXPECT_EQ(stats.coloring.hits, 1);
 }
 
 TEST(CompressorConcurrencyTest, PooledCentralityBitIdenticalToSequential) {

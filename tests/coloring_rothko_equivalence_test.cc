@@ -3,12 +3,9 @@
 // frozen pre-optimization implementation (rothko_reference.h). Compared
 // over the shared 56-graph property corpus: the full history() trace
 // (split color, new color, witness error, color count — everything except
-// wall-clock), the final partition, and the error trajectory.
-//
-// Since the parallel split scorer (RothkoOptions::pool), every corpus
-// point also runs at pool sizes 1, 2, and 8: the thread count must change
-// nothing — the deterministic ordered commit makes every pool size
-// bit-identical to the sequential reference.
+// wall-clock), the final partition, and the error trajectory. Every corpus
+// point runs from each CorpusStart partition: trivial, a max-flow spec's
+// pinned source and sink, and a three-color base partition.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +15,6 @@
 #include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/graph/graph.h"
-#include "qsc/parallel/thread_pool.h"
 #include "rothko_corpus.h"
 #include "rothko_reference.h"
 
@@ -27,21 +23,21 @@ namespace {
 
 class RothkoEquivalenceTest
     : public testing::TestWithParam<
-          std::tuple<uint64_t, bool, RothkoOptions::SplitMean, int>> {};
+          std::tuple<uint64_t, bool, RothkoOptions::SplitMean,
+                     testing_corpus::CorpusStart>> {};
 
 TEST_P(RothkoEquivalenceTest, SplitHistoryMatchesReferenceImplementation) {
-  const auto [seed, directed, split_mean, threads] = GetParam();
+  const auto [seed, directed, split_mean, start] = GetParam();
   const Graph g = testing_corpus::CorpusGraph(seed, directed);
+  const Partition initial =
+      testing_corpus::CorpusStartPartition(start, g.num_nodes());
 
-  ThreadPool pool(threads);
   RothkoOptions options;
   options.split_mean = split_mean;
   options.max_colors = g.num_nodes();  // run all the way to stability
-  options.pool = &pool;
 
-  RothkoRefiner optimized(g, Partition::Trivial(g.num_nodes()), options);
-  reference::ReferenceRefiner ref(g, Partition::Trivial(g.num_nodes()),
-                                  options);
+  RothkoRefiner optimized(g, initial, options);
+  reference::ReferenceRefiner ref(g, initial, options);
 
   // Drive both step by step so a divergence is pinned to the exact split.
   for (int step = 0;; ++step) {
@@ -77,7 +73,7 @@ std::string EquivalenceParamName(
          (std::get<2>(info.param) == RothkoOptions::SplitMean::kGeometric
               ? "geometric"
               : "arithmetic") +
-         "_threads" + std::to_string(std::get<3>(info.param));
+         "_" + testing_corpus::CorpusStartName(std::get<3>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Bool(),
                      testing::Values(RothkoOptions::SplitMean::kArithmetic,
                                      RothkoOptions::SplitMean::kGeometric),
-                     testing::Values(1, 2, 8)),
+                     testing::ValuesIn(testing_corpus::CorpusStarts())),
     EquivalenceParamName);
 
 }  // namespace

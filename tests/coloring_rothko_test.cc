@@ -74,6 +74,30 @@ TEST(RothkoTest, RefinerErrorMatchesComputeQError) {
   }
 }
 
+// The split's witness error is the spread of its members' weights into
+// the witness color, a member with no such edge counting as 0, and the
+// mean cut ejects the members above the mean.
+TEST(RothkoTest, WitnessErrorIsTheMemberWeightSpread) {
+  // A weighted star on nodes 0-3 plus the isolated node 4: degrees
+  // 6, 2, 2, 2, 0 (mean 2.4), so only the hub leaves the trivial color.
+  const Graph g = Graph::FromEdges(
+      5, {{0, 1, 2.0}, {0, 2, 2.0}, {0, 3, 2.0}}, /*undirected=*/true);
+  RothkoOptions options;
+  RothkoRefiner refiner(g, Partition::Trivial(5), options);
+  EXPECT_EQ(refiner.CurrentMaxError(), 6.0);
+  ASSERT_TRUE(refiner.Step());
+  ASSERT_EQ(refiner.history().size(), 1u);
+  const RothkoStep& first = refiner.history().front();
+  EXPECT_EQ(first.split_color, 0);
+  EXPECT_EQ(first.witness_error, 6.0);
+  EXPECT_EQ(first.num_colors, 2);
+  const Partition& p = refiner.partition();
+  EXPECT_EQ(p.ColorOf(0), first.new_color);
+  EXPECT_EQ(p.ColorSize(first.new_color), 1);
+  // The rest keep weights 2, 2, 2, 0 into the hub.
+  EXPECT_EQ(refiner.CurrentMaxError(), 2.0);
+}
+
 TEST(RothkoTest, StepReturnsFalseOnDiscretePartition) {
   const Graph g = CompleteGraph(4);
   RothkoOptions options;

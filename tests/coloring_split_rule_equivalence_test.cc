@@ -6,11 +6,11 @@
 // step, whether the step ran, and the partition after it, color ids
 // included.
 //
-// Every corpus point also runs at pool sizes 1, 2 and 8 (the engine
-// scores on the pool; the split sequence must not depend on it) and at
-// the pair weightings (alpha, beta) = (0, 0) and (1, 1) (the size-weighted
-// tie order and score). The corpus has integer weights, so the engine's
-// incremental sums and the reference's from-scratch sums agree exactly.
+// Every corpus point also runs at the pair weightings (alpha, beta) =
+// (0, 0) and (1, 1) (the size-weighted tie order and score), and from each
+// CorpusStart partition (trivial, pinned source and sink, a three-color
+// base). The corpus has integer weights, so the engine's incremental sums
+// and the reference's from-scratch sums agree exactly.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "qsc/coloring/backend.h"
 #include "qsc/coloring/partition.h"
 #include "qsc/graph/graph.h"
-#include "qsc/parallel/thread_pool.h"
 #include "rothko_corpus.h"
 #include "split_rule_reference.h"
 
@@ -32,27 +31,27 @@ using reference::ScanSplitReference;
 
 class SplitRuleEquivalenceTest
     : public testing::TestWithParam<std::tuple<
-          ScanSplitReference::Kernel, uint64_t, bool, SplitMean, int, bool>> {};
+          ScanSplitReference::Kernel, uint64_t, bool, SplitMean, bool,
+          testing_corpus::CorpusStart>> {};
 
 TEST_P(SplitRuleEquivalenceTest, StepsMatchTheScanReference) {
-  const auto [kernel, seed, directed, split_mean, threads, weighted] =
+  const auto [kernel, seed, directed, split_mean, weighted, start] =
       GetParam();
   const Graph g = testing_corpus::CorpusGraph(seed, directed);
+  const Partition initial =
+      testing_corpus::CorpusStartPartition(start, g.num_nodes());
 
-  ThreadPool pool(threads);
   ColoringParams params;
   params.split_mean = split_mean;
   params.alpha = weighted ? 1.0 : 0.0;
   params.beta = weighted ? 1.0 : 0.0;
-  params.pool = &pool;
 
   const std::string name =
       kernel == ScanSplitReference::Kernel::kLpRounding ? "lp-rounding"
                                                         : "bucket";
   const std::unique_ptr<RothkoRefiner> engine =
-      MakeRefiner(name, g, Partition::Trivial(g.num_nodes()), params);
-  ScanSplitReference ref(g, Partition::Trivial(g.num_nodes()), params,
-                         kernel);
+      MakeRefiner(name, g, initial, params);
+  ScanSplitReference ref(g, initial, params, kernel);
 
   // Drive both to stability step by step so a divergence is pinned to
   // the exact step.
@@ -71,7 +70,7 @@ TEST_P(SplitRuleEquivalenceTest, StepsMatchTheScanReference) {
 
 std::string SplitRuleParamName(
     const testing::TestParamInfo<SplitRuleEquivalenceTest::ParamType>& info) {
-  const auto& [kernel, seed, directed, split_mean, threads, weighted] =
+  const auto& [kernel, seed, directed, split_mean, weighted, start] =
       info.param;
   return std::string(kernel == ScanSplitReference::Kernel::kLpRounding
                          ? "lprounding"
@@ -79,7 +78,8 @@ std::string SplitRuleParamName(
          "_seed" + std::to_string(seed) +
          (directed ? "_directed_" : "_undirected_") +
          (split_mean == SplitMean::kGeometric ? "geometric" : "arithmetic") +
-         "_threads" + std::to_string(threads) + (weighted ? "_ab11" : "_ab00");
+         (weighted ? "_ab11" : "_ab00") + "_" +
+         testing_corpus::CorpusStartName(start);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,7 +90,8 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Bool(),
                      testing::Values(SplitMean::kArithmetic,
                                      SplitMean::kGeometric),
-                     testing::Values(1, 2, 8), testing::Bool()),
+                     testing::Bool(),
+                     testing::ValuesIn(testing_corpus::CorpusStarts())),
     SplitRuleParamName);
 
 }  // namespace

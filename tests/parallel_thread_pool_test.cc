@@ -1,8 +1,8 @@
 // qsc/parallel: the thread pool and the deterministic loop primitives.
 // The load-bearing properties are (1) every index runs exactly once, (2)
-// ParallelReduce and ParallelOrderedFor produce bit-identical results for
-// every pool size at a fixed grain, and (3) reentrant and concurrent
-// submissions neither deadlock nor lose work. The CI `thread` sanitizer
+// ParallelOrderedFor produces bit-identical results for every pool size,
+// and (3) reentrant and concurrent submissions neither deadlock nor lose
+// work. The CI `thread` sanitizer
 // job runs this binary under TSan (ParallelSuites in .github/workflows).
 
 #include <gtest/gtest.h>
@@ -131,6 +131,22 @@ TEST(ParallelForTest, NullPoolAndEmptyRangesAreSequentialNoOps) {
   ParallelFor(&pool, -5, 16, [&](int64_t) { FAIL(); });
 }
 
+TEST(ParallelForTest, WorksFromInsideAPoolWorker) {
+  ThreadPool pool(4);
+  constexpr int64_t kOuter = 6;
+  constexpr int64_t kInner = 257;
+  std::vector<std::vector<int>> hits(kOuter, std::vector<int>(kInner, 0));
+  pool.RunChunks(kOuter, [&](int64_t outer) {
+    ParallelFor(&pool, kInner, /*grain=*/16,
+                [&](int64_t i) { ++hits[outer][i]; });
+  });
+  for (int64_t outer = 0; outer < kOuter; ++outer) {
+    for (int64_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(hits[outer][i], 1) << outer << "/" << i;
+    }
+  }
+}
+
 TEST(ChunkGridTest, BoundariesDependOnlyOnSizeAndGrain) {
   const ChunkGrid grid{100, 32};
   ASSERT_EQ(grid.num_chunks(), 4);
@@ -141,58 +157,6 @@ TEST(ChunkGridTest, BoundariesDependOnlyOnSizeAndGrain) {
   const ChunkGrid exact{64, 32};
   EXPECT_EQ(exact.num_chunks(), 2);
   EXPECT_EQ(exact.end(1), 64);
-}
-
-// The determinism contract: a floating-point reduction is not associative,
-// so its value depends on the fold shape — but the fold shape depends only
-// on the grain, so every pool size (including the sequential path) must
-// produce the same bits.
-TEST(ParallelReduceTest, SumBitIdenticalAcrossPoolSizes) {
-  constexpr int64_t kSize = 5000;
-  std::vector<double> values(kSize);
-  for (int64_t i = 0; i < kSize; ++i) {
-    values[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  auto map = [&](int64_t i) { return values[i]; };
-  auto combine = [](double a, double b) { return a + b; };
-
-  const double reference =
-      ParallelReduce(nullptr, kSize, /*grain=*/128, 0.0, map, combine);
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      const double sum =
-          ParallelReduce(&pool, kSize, /*grain=*/128, 0.0, map, combine);
-      ASSERT_EQ(sum, reference) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelReduceTest, MaxMatchesSequentialFoldForAnyGrain) {
-  constexpr int64_t kSize = 777;
-  std::vector<double> values(kSize);
-  for (int64_t i = 0; i < kSize; ++i) {
-    values[i] = static_cast<double>((i * 2654435761u) % 10007);
-  }
-  double expected = values[0];
-  for (double v : values) expected = std::max(expected, v);
-  ThreadPool pool(4);
-  for (const int64_t grain : {1, 7, 64, 1000}) {
-    const double got = ParallelReduce(
-        &pool, kSize, grain, values[0],
-        [&](int64_t i) { return values[i]; },
-        [](double a, double b) { return std::max(a, b); });
-    // max is associative, so unlike a sum the result is grain-independent.
-    EXPECT_EQ(got, expected) << "grain=" << grain;
-  }
-}
-
-TEST(ParallelReduceTest, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const double got = ParallelReduce(
-      &pool, 0, 16, 42.0, [](int64_t) { return 0.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_EQ(got, 42.0);
 }
 
 TEST(ParallelOrderedForTest, CommitsRunStrictlyInIndexOrder) {
@@ -209,6 +173,30 @@ TEST(ParallelOrderedForTest, CommitsRunStrictlyInIndexOrder) {
     EXPECT_EQ(commit_order[i], i);
     EXPECT_EQ(worked[i], 1);
   }
+}
+
+// The sequential path (null or one-thread pool) is exactly the loop
+// `for i { work(i); commit(i); }`: each commit runs before the next work.
+TEST(ParallelOrderedForTest, SequentialPathInterleavesWorkAndCommit) {
+  std::vector<int64_t> trace;  // work(i) logs i, commit(i) logs ~i
+  auto run = [&](ThreadPool* pool, int64_t size) {
+    trace.clear();
+    ParallelOrderedFor(
+        pool, size, [&](int64_t i) { trace.push_back(i); },
+        [&](int64_t i) { trace.push_back(~i); });
+  };
+  const std::vector<int64_t> want = {0, ~int64_t{0}, 1, ~int64_t{1},
+                                     2, ~int64_t{2}};
+  run(nullptr, 3);
+  EXPECT_EQ(trace, want);
+  ThreadPool single(1);
+  run(&single, 3);
+  EXPECT_EQ(trace, want);
+  run(nullptr, 0);
+  EXPECT_TRUE(trace.empty());
+  ThreadPool pool(4);
+  run(&pool, -3);
+  EXPECT_TRUE(trace.empty());
 }
 
 TEST(ParallelOrderedForTest, OrderedFloatAccumulationBitIdentical) {

@@ -3,7 +3,8 @@
 // anytime property sweep (coloring_rothko_property_test.cc) and the
 // old-vs-new equivalence test (coloring_rothko_equivalence_test.cc) draw
 // their instances from here, so "the property corpus" means the same 56
-// (graph, options) pairs everywhere.
+// (graph, options) pairs everywhere. The equivalence tests also start each
+// corpus point from every CorpusStart partition.
 
 #ifndef QSC_TESTS_ROTHKO_CORPUS_H_
 #define QSC_TESTS_ROTHKO_CORPUS_H_
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "qsc/coloring/partition.h"
 #include "qsc/coloring/rothko.h"
 #include "qsc/graph/generators.h"
 #include "qsc/graph/graph.h"
@@ -44,6 +46,45 @@ inline Graph CorpusGraph(uint64_t seed, bool directed) {
 
 inline std::vector<uint64_t> CorpusSeeds() {
   return {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+}
+
+// The partitions a refinement starts from, in the shapes ColoringCache
+// builds them (InitialPartition): the trivial one; a max-flow spec's, with
+// the source (node 0) and sink (the last node) pinned as singletons and the
+// rest in one color; and a three-color base partition with no pins, as a
+// cache over an LP's extended-matrix graph starts from.
+enum class CorpusStart { kTrivial, kPinned, kStriped };
+
+inline std::vector<CorpusStart> CorpusStarts() {
+  return {CorpusStart::kTrivial, CorpusStart::kPinned, CorpusStart::kStriped};
+}
+
+inline Partition CorpusStartPartition(CorpusStart start, NodeId num_nodes) {
+  std::vector<int32_t> labels(num_nodes, 0);
+  switch (start) {
+    case CorpusStart::kTrivial:
+      break;
+    case CorpusStart::kPinned:
+      for (NodeId v = 1; v + 1 < num_nodes; ++v) labels[v] = 2;
+      labels[num_nodes - 1] = 1;
+      break;
+    case CorpusStart::kStriped:
+      for (NodeId v = 0; v < num_nodes; ++v) labels[v] = v % 3;
+      break;
+  }
+  return Partition::FromColorIds(labels);
+}
+
+inline const char* CorpusStartName(CorpusStart start) {
+  switch (start) {
+    case CorpusStart::kTrivial:
+      return "trivial";
+    case CorpusStart::kPinned:
+      return "pinned";
+    case CorpusStart::kStriped:
+      return "striped";
+  }
+  return "unknown";
 }
 
 }  // namespace testing_corpus
