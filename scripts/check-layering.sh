@@ -2,7 +2,9 @@
 # The layering gate, runnable locally: the library modules below the
 # session API (util, parallel, graph, coloring, flow, lp, centrality,
 # dynamic) must not include the layers built on top of them (api,
-# workload, eval, bench). The CI `format` job runs exactly this script.
+# workload, eval, bench), and graph/ — the substrate every solver and
+# the dynamic edit model build on — includes nothing but util/. The CI
+# `format` job runs exactly this script.
 #
 #   scripts/check-layering.sh
 set -euo pipefail
@@ -21,9 +23,16 @@ for module in "${lower[@]}"; do
              "src/qsc/${module}" || true)
 done
 
+while IFS= read -r hit; do
+  echo "check-layering: ${hit}: qsc/graph includes a module above util/" >&2
+  violations=$((violations + 1))
+done < <(grep -rnE "^[[:space:]]*#[[:space:]]*include[[:space:]]*[\"<]qsc/" \
+           src/qsc/graph | grep -vE "[\"<]qsc/(graph|util)/" || true)
+
 if [[ "$violations" -gt 0 ]]; then
   echo "check-layering: ${violations} upward include(s)" >&2
   exit 1
 fi
 echo "check-layering: no module under src/qsc/{$(IFS=,; echo "${lower[*]}")}" \
-     "includes qsc/{api,workload,eval,bench}"
+     "includes qsc/{api,workload,eval,bench}, and qsc/graph includes only" \
+     "qsc/{graph,util}"

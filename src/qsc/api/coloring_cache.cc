@@ -385,8 +385,9 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
       const std::shared_ptr<const void> old_graph =
           std::exchange(entry->keepalive, keepalive_);
       entry->view = view_;
-      // Never refined: nothing to repair. The next Refine() builds it
-      // over the new graph.
+      // Never refined since insertion or since the last fallback: no
+      // coloring work to repair or discard. The next Refine() builds the
+      // refiner over the new graph.
       if (entry->refiner == nullptr) continue;
       const std::string& backend_name =
           api_internal::BackendOrDefault(spec.backend);
@@ -394,12 +395,13 @@ ColoringCache::EditApplyStats ColoringCache::ApplyGraph(
       std::unique_ptr<RothkoRefiner> repaired = dynamic::TryRepair(
           backend_name, view_, entry->refiner->partition(),
           ToColoringParams(spec), options, &outcome);
-      // Fallback: rebuild from the spec's initial partition, as the entry
-      // was first built. Refinement from here is bit-identical to a
-      // from-scratch run on the new graph.
-      entry->refiner = repaired != nullptr
-                           ? std::move(repaired)
-                           : MakeBackend(view_, spec, base_);
+      // Fallback drops the refiner (`repaired` is null): the entry is back
+      // in the never-refined state, and the spec's next Refine() rebuilds
+      // it from the initial partition under the entry mutex alone — the
+      // same MakeBackend call on the same graph, so refinement from there
+      // is bit-identical to a from-scratch run, and a batch no query reads
+      // before the next one costs no rebuild.
+      entry->refiner = std::move(repaired);
       entry->converged = outcome.converged;
       // Snapshots of the old graph's colorings — and the artifacts built
       // from them — must not be served again.

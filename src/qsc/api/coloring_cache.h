@@ -149,7 +149,7 @@ struct CacheStats {
     int64_t recolorings = 0;
     int64_t refine_splits = 0;
     int64_t repairs = 0;    // entries repaired in place across edit batches
-    int64_t fallbacks = 0;  // entries reset for from-scratch recoloring
+    int64_t fallbacks = 0;  // entries whose coloring work a batch discarded
   };
 
   int64_t lookups = 0;       // coloring requests served
@@ -162,13 +162,16 @@ struct CacheStats {
   int64_t bytes_in_use = 0;  // tracked footprint of all current entries
   int64_t peak_bytes = 0;    // high-water mark of bytes_in_use
 
-  // Dynamic-graph telemetry (ApplyGraph; docs/DYNAMIC.md). Every live
-  // entry of an edit batch is attributed to exactly one of
-  // {repair, fallback}, so repairs + fallbacks counts entry-batch pairs.
+  // Dynamic-graph telemetry (ApplyGraph; docs/DYNAMIC.md). Every entry
+  // holding coloring work (a live refiner) when a batch lands is
+  // attributed to exactly one of {repair, fallback}, so repairs +
+  // fallbacks counts entry-batch pairs; an entry a previous fallback
+  // reset and no query has refined since counts as neither.
   int64_t edit_batches = 0;   // ApplyGraph calls
   int64_t edits_applied = 0;  // single-edge edits across all batches
   int64_t repairs = 0;        // entries repaired in place
-  int64_t fallbacks = 0;      // entries reset for from-scratch recoloring
+  int64_t fallbacks = 0;      // entries whose coloring work this batch
+                              // discarded (rebuilt by their next query)
   int64_t repair_splits = 0;  // witness splits spent by successful repairs
 
   // Snapshot artifacts (ColoringCache::Artifact). Every artifact lookup
@@ -289,19 +292,22 @@ class ColoringCache {
 
   // Aggregate outcome of one ApplyGraph call.
   struct EditApplyStats {
-    int64_t entries = 0;  // live entries visited (repairs + fallbacks)
+    int64_t entries = 0;  // entries with a live refiner (repairs + fallbacks)
     int64_t repairs = 0;
-    int64_t fallbacks = 0;
+    int64_t fallbacks = 0;  // entries whose coloring work this batch discarded
     int64_t repair_splits = 0;
   };
 
   // Dynamic serving (docs/DYNAMIC.md): swaps in the already-mutated graph
-  // (`edits` is the batch that produced it) and repairs every live entry
-  // via dynamic::TryRepair — tolerance-bounded specs are re-split locally
-  // under `options.max_repair_splits`, everything else resets for a
-  // from-scratch recoloring that later Refine() calls perform lazily and
-  // bit-identically to a fresh cache over the new graph. Served snapshots
-  // of the old graph are dropped.
+  // (`edits` is the batch that produced it) and repairs every entry with
+  // a live refiner via dynamic::TryRepair — tolerance-bounded specs are
+  // re-split locally under `options.max_repair_splits`. Everything else
+  // falls back: its refiner is dropped (its footprint leaves
+  // bytes_in_use), and the spec's next Refine() rebuilds it from the
+  // initial partition under the entry mutex, bit-identically to a fresh
+  // cache over the new graph. No refiner is built for a fallback here, so
+  // a batch costs only its repairs. Served snapshots of the old graph are
+  // dropped.
   //
   // Holds the cache-wide unique lock for the whole call, so no Refine()
   // looks up or inserts an entry meanwhile, and moves every entry —

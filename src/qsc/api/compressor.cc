@@ -100,20 +100,20 @@ ColoringSpec SpecFor(const QueryOptions& options, double default_alpha,
 // Content fingerprint of an LP: SolveLp keys its matrix-coloring caches by
 // value, so two calls with equal problems share one cache even if they
 // pass different objects. Not collision-resistant — hits are confirmed by
-// LpEquals before a cached LP is reused.
+// LpEquals before a cached LP is reused. Runs on every SolveLp, so it
+// mixes whole words: two multiplies per matrix entry.
 uint64_t FingerprintLp(const LpProblem& lp) {
-  using api_internal::HashMixDouble;
-  using api_internal::HashMixWord;
+  using api_internal::HashMixDoubleFast;
+  using api_internal::HashMixWordFast;
+  using api_internal::PackPair;
   uint64_t h = api_internal::kFnvOffsetBasis;
-  h = HashMixWord(h, static_cast<uint64_t>(lp.num_rows));
-  h = HashMixWord(h, static_cast<uint64_t>(lp.num_cols));
+  h = HashMixWordFast(h, PackPair(lp.num_rows, lp.num_cols));
   for (const LpEntry& e : lp.entries) {
-    h = HashMixWord(h, static_cast<uint64_t>(e.row));
-    h = HashMixWord(h, static_cast<uint64_t>(e.col));
-    h = HashMixDouble(h, e.value);
+    h = HashMixWordFast(h, PackPair(e.row, e.col));
+    h = HashMixDoubleFast(h, e.value);
   }
-  for (const double v : lp.b) h = HashMixDouble(h, v);
-  for (const double v : lp.c) h = HashMixDouble(h, v);
+  for (const double v : lp.b) h = HashMixDoubleFast(h, v);
+  for (const double v : lp.c) h = HashMixDoubleFast(h, v);
   return h;
 }
 

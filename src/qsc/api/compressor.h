@@ -194,7 +194,8 @@ struct EditApplyOptions {
 struct EditApplyResult {
   int64_t edits_applied = 0;  // single-edge edits in this batch
   int64_t repairs = 0;        // cached colorings repaired in place
-  int64_t fallbacks = 0;      // cached colorings reset to scratch
+  int64_t fallbacks = 0;      // entries whose coloring work this batch
+                              // discarded (rebuilt by their next query)
   int64_t repair_splits = 0;  // witness splits the repairs spent
   int64_t graph_version = 0;  // session graph version after this batch
   double seconds = 0.0;       // wall-clock cost of the whole batch
@@ -302,11 +303,14 @@ class Compressor {
   // dynamic::ApplyEditBatch — an invalid edit (duplicate insert, absent
   // delete/update, bad endpoint or weight) fails the whole call with the
   // graph unchanged. On success every cached coloring is repaired in
-  // place or reset for from-scratch recoloring (the repair/fallback
+  // place or dropped for from-scratch recoloring (the repair/fallback
   // contract of dynamic/incremental.h), the graph version increments, and
   // all five query kinds keep serving: post-batch results are identical
   // to the same queries against a fresh session on the mutated graph,
   // never worse than max(q_tolerance, scratch error) on the coloring.
+  // Cost: one O(n + m) pass over the graph plus the repairs; a dropped
+  // coloring is rebuilt by its spec's next query, outside the writer
+  // lock, so batches no query reads in between cost no recoloring.
   // Safe to call concurrently with queries (it takes the session writer
   // lock); concurrent ApplyEdits calls serialize. Rejects an empty batch
   // and, on an LP-only or empty-graph session, FailedPrecondition.

@@ -1,4 +1,4 @@
-// Byte-mixing helpers shared by the api layer's cache keys
+// Hash-mixing helpers shared by the api layer's cache keys
 // (ColoringSpecHash and SolveLp's LP content fingerprint). Kept in one
 // place so both keyings agree on canonicalization — in particular the
 // -0.0 fold, which keeps bitwise hashing consistent with operator== on
@@ -40,6 +40,29 @@ inline uint64_t HashMixDouble(uint64_t h, double v) {
 }
 
 constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+// One multiply per 64-bit word (the golden-ratio multiplier, then the
+// high half folded down so later words reach every bit), for long
+// content keys — SolveLp's LP fingerprint mixes two words per matrix
+// entry, where HashMixWord's eight dependent byte multiplies per word
+// dominated a warm lookup. Not interchangeable with HashMixWord: the
+// spec keys keep their byte-wise hashes.
+inline uint64_t HashMixWordFast(uint64_t h, uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 32);
+}
+
+// HashMixWordFast over a double's bits, with HashMixDouble's -0.0 fold.
+inline uint64_t HashMixDoubleFast(uint64_t h, double v) {
+  if (v == 0.0) v = 0.0;  // fold -0.0 onto 0.0
+  return HashMixWordFast(h, DoubleBits(v));
+}
+
+// Two 32-bit ids as one word.
+inline uint64_t PackPair(int32_t hi, int32_t lo) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(hi)) << 32) |
+         static_cast<uint32_t>(lo);
+}
 
 // Canonical backend spelling for equality and hashing: the empty string
 // means the default backend (pre-registry specs keep their meaning).

@@ -42,8 +42,8 @@ Graph DirectedBa1500(uint64_t seed) {
   return Graph::FromArcs(ba.num_nodes(), ba.Arcs(), /*undirected=*/false);
 }
 
-// Shared trace shape of both serving scenarios; only the arrival model
-// (and the session's byte budget) differs.
+// Shared trace shape of the trace-driven serving scenarios; only the
+// arrival model, the session's byte budget and the edit cadence differ.
 workload::TraceGenOptions ServingTraceOptions(uint64_t seed) {
   workload::TraceGenOptions options;
   options.seed = seed;
@@ -98,12 +98,14 @@ void FillServingResult(const workload::LoadReport& report,
 }
 
 // Registers one serving scenario: `generator` drives the trace,
-// `byte_budget` configures the session's coloring cache (0 = unbounded).
-// Every repeat replays the same trace against a *fresh* session — the
-// measured unit is a cold service warming its cache over the trace.
+// `byte_budget` configures the session's coloring cache (0 = unbounded),
+// and `edit_interval` > 0 turns every (edit_interval + 1)-th event into
+// an edit batch the load runner applies between query segments. Every
+// repeat replays the same trace against a *fresh* session — the measured
+// unit is a cold service warming its cache over the trace.
 void RegisterServing(const char* name, const char* description,
                      const char* generator, uint64_t salt,
-                     int64_t byte_budget) {
+                     int64_t byte_budget, int32_t edit_interval = 0) {
   Scenario::Info info;
   info.name = name;
   info.group = "serving";
@@ -112,11 +114,12 @@ void RegisterServing(const char* name, const char* description,
   const std::string generator_name = generator;
   ScenarioRegistry::Global().Register(Scenario(
       std::move(info),
-      [generator_name, salt, byte_budget](const BenchContext& ctx) {
+      [generator_name, salt, byte_budget,
+       edit_interval](const BenchContext& ctx) {
         const uint64_t seed = ctx.seed ^ salt;
         const Graph g = DirectedBa1500(seed);
-        const workload::TraceGenOptions trace_options =
-            ServingTraceOptions(seed);
+        workload::TraceGenOptions trace_options = ServingTraceOptions(seed);
+        trace_options.edit_interval = edit_interval;
         StatusOr<std::unique_ptr<workload::TraceSource>> source =
             workload::MakeTraceSource(generator_name, trace_options);
         QSC_CHECK_OK(source);
@@ -153,6 +156,23 @@ void RegisterServing(const char* name, const char* description,
             {"cache_byte_budget", static_cast<double>(byte_budget)},
         };
         FillServingResult(report, &r);
+        if (edit_interval > 0) {
+          // Edit events are segment barriers, so the cached-entry set
+          // each batch meets — and with it every edit counter — is a pure
+          // function of the trace prefix at any --threads.
+          r.params.push_back(
+              {"edit_interval", static_cast<double>(edit_interval)});
+          r.counters.push_back(
+              {"edit_events", static_cast<double>(report.edit_events)});
+          r.counters.push_back(
+              {"edits_applied", static_cast<double>(report.edits_applied)});
+          r.counters.push_back(
+              {"failed_edits", static_cast<double>(report.failed_edits)});
+          r.counters.push_back(
+              {"edit_repairs", static_cast<double>(report.edit_repairs)});
+          r.counters.push_back(
+              {"edit_fallbacks", static_cast<double>(report.edit_fallbacks)});
+        }
 
         if (byte_budget > 0) {
           // Eviction-transparency witness, outside the timed closure: an
@@ -443,6 +463,14 @@ void RegisterServingScenarios() {
       "4 MiB byte-budgeted coloring cache (LRU eviction churn; checksums "
       "gated bitwise against an unbudgeted replay)",
       "bursty-zipf-mixed", 0x9a0f, /*byte_budget=*/4 << 20);
+  RegisterServing(
+      "serving/edit-churn-ba1500",
+      "the mixed Poisson workload with an edit batch of 4 single-edge "
+      "edits after every 30 queries: each batch drops the cached "
+      "zero-tolerance colorings, and the next query of each spec rebuilds "
+      "its refiner while other clients query other specs",
+      "poisson-zipf-mixed", 0x9a10, /*byte_budget=*/0,
+      /*edit_interval=*/30);
   RegisterMmapIdentity();
   RegisterMmapRss();
 }

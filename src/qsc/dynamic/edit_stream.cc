@@ -58,28 +58,13 @@ const char* EditKindName(EditKind kind) {
 
 StatusOr<Graph> ApplyEditBatch(const Graph& g,
                                const std::vector<EditOp>& edits) {
-  Graph out = g;
-  for (size_t i = 0; i < edits.size(); ++i) {
-    const EditOp& op = edits[i];
-    Status s;
-    switch (op.kind) {
-      case EditKind::kInsertEdge:
-        s = out.AddEdge(op.src, op.dst, op.weight);
-        break;
-      case EditKind::kDeleteEdge:
-        s = out.RemoveEdge(op.src, op.dst);
-        break;
-      case EditKind::kUpdateWeight:
-        s = out.SetWeight(op.src, op.dst, op.weight);
-        break;
-      default:
-        s = Status::InvalidArgument("unknown edit kind");
-        break;
-    }
-    if (!s.ok()) {
-      return Status(s.code(), "edit " + std::to_string(i) + " (" +
-                                  DescribeOp(op) + "): " + s.message());
-    }
+  size_t failed = 0;
+  StatusOr<Graph> out = g.WithEdits(edits, &failed);
+  if (!out.ok()) {
+    const Status& s = out.status();
+    return Status(s.code(), "edit " + std::to_string(failed) + " (" +
+                                DescribeOp(edits[failed]) + "): " +
+                                s.message());
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // The edit model for dynamic graphs (ROADMAP item 2, docs/DYNAMIC.md):
 // a small vocabulary of single-edge edits, all-or-nothing batch
-// application on top of the Graph mutators, and seeded deterministic
+// application through Graph::WithEdits, and seeded deterministic
 // edit-stream generators.
 //
 // The generators are the churn counterpart of graph/perturb: the
@@ -23,37 +23,22 @@
 namespace qsc {
 namespace dynamic {
 
-enum class EditKind {
-  kInsertEdge = 0,
-  kDeleteEdge = 1,
-  kUpdateWeight = 2,
-};
+// The single-edge edit vocabulary is Graph's (qsc/graph/graph.h): an
+// EditOp is a qsc::EdgeEdit, so a batch reaches Graph::WithEdits as is.
+using EditKind = EdgeEditKind;
+using EditOp = EdgeEdit;
 inline constexpr int kNumEditKinds = 3;
 
 // "insert" | "delete" | "update" (also the qsc-trace v2 wire names).
 const char* EditKindName(EditKind kind);
 
-// One edit. On an undirected graph (src, dst) addresses the logical edge
-// {src, dst}. `weight` is the new arc weight for inserts and updates and
-// is ignored (conventionally 0) for deletes.
-struct EditOp {
-  EditKind kind = EditKind::kInsertEdge;
-  NodeId src = 0;
-  NodeId dst = 0;
-  double weight = 0.0;
-
-  friend bool operator==(const EditOp& a, const EditOp& b) {
-    return a.kind == b.kind && a.src == b.src && a.dst == b.dst &&
-           a.weight == b.weight;
-  }
-  friend bool operator!=(const EditOp& a, const EditOp& b) { return !(a == b); }
-};
-
 // Applies `edits` in order to a copy of `g` and returns the mutated
-// graph; `g` itself is never modified. All-or-nothing: the first invalid
-// edit (per the Graph mutator contracts — duplicate insert, absent
-// delete/update, bad endpoint or weight) fails the whole batch with the
-// mutator's status code and a message naming the offending edit.
+// graph; `g` itself is never modified. One pass (Graph::WithEdits): the
+// edits are validated in order, then merged into fresh CSR arrays at
+// O(n + m + k log k) for the whole batch. All-or-nothing: the first
+// invalid edit (duplicate insert, absent delete/update, bad endpoint or
+// weight) fails the whole batch with the Graph edit status code and a
+// message naming the offending edit.
 StatusOr<Graph> ApplyEditBatch(const Graph& g, const std::vector<EditOp>& edits);
 
 // One seeded batch of `count` edits of a single kind, valid against `g`

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 namespace qsc {
 namespace {
@@ -204,109 +206,191 @@ Status CheckWeight(double weight) {
   return Status::Ok();
 }
 
+// One net arc change of an edit batch, addressed as (row, col) of the CSR
+// direction it is merged into. weight == 0 erases the arc; `delta` is the
+// row-length change (+1 insert, -1 erase, 0 reweight).
+struct ArcChange {
+  NodeId row;
+  NodeId col;
+  double weight;
+  int delta;
+};
+
+// Merges `changes` — sorted by (row, col), at most one per arc — into the
+// CSR (offsets, cols, weights), writing fresh arrays: untouched stretches
+// are copied in bulk, each change inserts, erases or rewrites one entry.
+void MergeCsr(const std::vector<int64_t>& offsets,
+              const std::vector<NodeId>& cols,
+              const std::vector<double>& weights,
+              const std::vector<ArcChange>& changes,
+              std::vector<int64_t>* new_offsets, std::vector<NodeId>* new_cols,
+              std::vector<double>* new_weights) {
+  const size_t num_rows = offsets.size() - 1;
+  new_offsets->resize(offsets.size());
+  int64_t shift = 0;
+  size_t c = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    (*new_offsets)[r] = offsets[r] + shift;
+    for (; c < changes.size() && static_cast<size_t>(changes[c].row) == r;
+         ++c) {
+      shift += changes[c].delta;
+    }
+  }
+  (*new_offsets)[num_rows] = offsets[num_rows] + shift;
+
+  const int64_t size = offsets[num_rows] + shift;
+  new_cols->clear();
+  new_weights->clear();
+  new_cols->reserve(size);
+  new_weights->reserve(size);
+  int64_t from = 0;
+  for (const ArcChange& change : changes) {
+    const auto row_end = cols.begin() + offsets[change.row + 1];
+    const auto it =
+        std::lower_bound(cols.begin() + offsets[change.row], row_end,
+                         change.col);
+    const int64_t at = it - cols.begin();
+    new_cols->insert(new_cols->end(), cols.begin() + from, it);
+    new_weights->insert(new_weights->end(), weights.begin() + from,
+                        weights.begin() + at);
+    from = at;
+    if (it != row_end && *it == change.col) ++from;  // replaced or erased
+    if (change.weight != 0.0) {
+      new_cols->push_back(change.col);
+      new_weights->push_back(change.weight);
+    }
+  }
+  new_cols->insert(new_cols->end(), cols.begin() + from, cols.end());
+  new_weights->insert(new_weights->end(), weights.begin() + from,
+                      weights.end());
+  QSC_DCHECK(static_cast<int64_t>(new_cols->size()) == size);
+}
+
 }  // namespace
 
-Status Graph::AddEdge(NodeId u, NodeId v, double weight) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  QSC_RETURN_IF_ERROR(CheckWeight(weight));
-  if (HasArc(u, v)) {
-    return Status::InvalidArgument("arc " + ArcName(u, v) +
-                                   " already present; use SetWeight");
+StatusOr<Graph> Graph::WithEdits(const std::vector<EdgeEdit>& edits,
+                                 size_t* failed_edit) const {
+  // Validation, in order, against an overlay of the batch's earlier
+  // edits: the current weight of every arc the batch touched, keyed by its
+  // canonical (min, max) orientation on undirected graphs (0 = absent).
+  std::unordered_map<uint64_t, double> overlay;
+  overlay.reserve(edits.size());
+  const auto key_of = [this](NodeId u, NodeId v) {
+    if (undirected_ && u > v) std::swap(u, v);
+    return (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(v);
+  };
+  const auto validate = [&](const EdgeEdit& e) -> Status {
+    if (e.kind != EdgeEditKind::kInsertEdge &&
+        e.kind != EdgeEditKind::kDeleteEdge &&
+        e.kind != EdgeEditKind::kUpdateWeight) {
+      return Status::InvalidArgument("unknown edit kind");
+    }
+    QSC_RETURN_IF_ERROR(CheckEndpoints(e.src, e.dst, num_nodes_));
+    if (e.kind != EdgeEditKind::kDeleteEdge) {
+      QSC_RETURN_IF_ERROR(CheckWeight(e.weight));
+    }
+    const auto seen = overlay.find(key_of(e.src, e.dst));
+    const bool present = seen != overlay.end() ? seen->second != 0.0
+                                               : HasArc(e.src, e.dst);
+    if (e.kind == EdgeEditKind::kInsertEdge && present) {
+      return Status::InvalidArgument("arc " + ArcName(e.src, e.dst) +
+                                     " already present; use SetWeight");
+    }
+    if (e.kind != EdgeEditKind::kInsertEdge && !present) {
+      return Status::NotFound("no arc " + ArcName(e.src, e.dst) +
+                              " in the graph");
+    }
+    return Status::Ok();
+  };
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const EdgeEdit& e = edits[i];
+    const Status s = validate(e);
+    if (!s.ok()) {
+      if (failed_edit != nullptr) *failed_edit = i;
+      return s;
+    }
+    overlay[key_of(e.src, e.dst)] =
+        e.kind == EdgeEditKind::kDeleteEdge ? 0.0 : e.weight;
   }
-  InsertArcInPlace(u, v, weight);
-  if (undirected_ && u != v) InsertArcInPlace(v, u, weight);
-  ++num_edges_;
-  RecomputeWeightCaches(u, v);
+
+  // The batch's net arc changes against this graph, in both CSR
+  // directions; mirrored on undirected graphs.
+  std::vector<ArcChange> out_changes;
+  int64_t edge_delta = 0;
+  for (const auto& [key, weight] : overlay) {
+    const NodeId u = static_cast<NodeId>(key >> 32);
+    const NodeId v = static_cast<NodeId>(static_cast<uint32_t>(key));
+    const bool was_present = HasArc(u, v);
+    if (!was_present && weight == 0.0) continue;  // inserted, then deleted
+    const int delta = !was_present ? 1 : weight == 0.0 ? -1 : 0;
+    edge_delta += delta;
+    out_changes.push_back({u, v, weight, delta});
+    if (undirected_ && u != v) out_changes.push_back({v, u, weight, delta});
+  }
+  std::vector<ArcChange> in_changes = out_changes;
+  for (ArcChange& change : in_changes) std::swap(change.row, change.col);
+  const auto by_row_col = [](const ArcChange& a, const ArcChange& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  std::sort(out_changes.begin(), out_changes.end(), by_row_col);
+  std::sort(in_changes.begin(), in_changes.end(), by_row_col);
+
+  Graph g;
+  g.num_nodes_ = num_nodes_;
+  g.undirected_ = undirected_;
+  g.num_edges_ = num_edges_ + edge_delta;
+  MergeCsr(out_offsets_, out_dst_, out_w_, out_changes, &g.out_offsets_,
+           &g.out_dst_, &g.out_w_);
+  MergeCsr(in_offsets_, in_src_, in_w_, in_changes, &g.in_offsets_,
+           &g.in_src_, &g.in_w_);
+
+  // Weight aggregates: every endpoint of every edit has its row sums
+  // recomputed in row order, and the total is re-summed in global
+  // (src, dst) order — the accumulation order of FromCoalescedArcs — so
+  // the batch equals edit-by-edit application (and a rebuild) bit for bit.
+  g.out_weight_ = out_weight_;
+  g.in_weight_ = in_weight_;
+  g.total_weight_ = total_weight_;
+  if (edits.empty()) return g;
+  std::vector<NodeId> touched;
+  touched.reserve(2 * edits.size());
+  for (const EdgeEdit& e : edits) {
+    touched.push_back(e.src);
+    touched.push_back(e.dst);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const NodeId x : touched) {
+    double out_sum = 0.0;
+    for (const NeighborEntry e : g.OutNeighbors(x)) out_sum += e.weight;
+    g.out_weight_[x] = out_sum;
+    double in_sum = 0.0;
+    for (const NeighborEntry e : g.InNeighbors(x)) in_sum += e.weight;
+    g.in_weight_[x] = in_sum;
+  }
+  double total = 0.0;
+  for (const double w : g.out_w_) total += w;
+  g.total_weight_ = total;
+  return g;
+}
+
+Status Graph::ApplyInPlace(const EdgeEdit& edit) {
+  StatusOr<Graph> edited = WithEdits({edit});
+  if (!edited.ok()) return edited.status();
+  *this = std::move(edited).value();
   return Status::Ok();
+}
+
+Status Graph::AddEdge(NodeId u, NodeId v, double weight) {
+  return ApplyInPlace({EdgeEditKind::kInsertEdge, u, v, weight});
 }
 
 Status Graph::RemoveEdge(NodeId u, NodeId v) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  if (!HasArc(u, v)) {
-    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
-  }
-  EraseArcInPlace(u, v);
-  if (undirected_ && u != v) EraseArcInPlace(v, u);
-  --num_edges_;
-  RecomputeWeightCaches(u, v);
-  return Status::Ok();
+  return ApplyInPlace({EdgeEditKind::kDeleteEdge, u, v, 0.0});
 }
 
 Status Graph::SetWeight(NodeId u, NodeId v, double weight) {
-  QSC_RETURN_IF_ERROR(CheckEndpoints(u, v, num_nodes_));
-  QSC_RETURN_IF_ERROR(CheckWeight(weight));
-  if (!HasArc(u, v)) {
-    return Status::NotFound("no arc " + ArcName(u, v) + " in the graph");
-  }
-  SetArcWeightInPlace(u, v, weight);
-  if (undirected_ && u != v) SetArcWeightInPlace(v, u, weight);
-  RecomputeWeightCaches(u, v);
-  return Status::Ok();
-}
-
-void Graph::InsertArcInPlace(NodeId u, NodeId v, double weight) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  const int64_t out_pos = out_it - out_dst_.begin();
-  out_dst_.insert(out_it, v);
-  out_w_.insert(out_w_.begin() + out_pos, weight);
-  for (NodeId w = u + 1; w <= num_nodes_; ++w) ++out_offsets_[w];
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  const int64_t in_pos = in_it - in_src_.begin();
-  in_src_.insert(in_it, u);
-  in_w_.insert(in_w_.begin() + in_pos, weight);
-  for (NodeId w = v + 1; w <= num_nodes_; ++w) ++in_offsets_[w];
-}
-
-void Graph::EraseArcInPlace(NodeId u, NodeId v) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  QSC_CHECK(out_it != out_dst_.end() && *out_it == v);
-  out_w_.erase(out_w_.begin() + (out_it - out_dst_.begin()));
-  out_dst_.erase(out_it);
-  for (NodeId w = u + 1; w <= num_nodes_; ++w) --out_offsets_[w];
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  QSC_CHECK(in_it != in_src_.end() && *in_it == u);
-  in_w_.erase(in_w_.begin() + (in_it - in_src_.begin()));
-  in_src_.erase(in_it);
-  for (NodeId w = v + 1; w <= num_nodes_; ++w) --in_offsets_[w];
-}
-
-void Graph::SetArcWeightInPlace(NodeId u, NodeId v, double weight) {
-  const auto out_it = std::lower_bound(out_dst_.begin() + out_offsets_[u],
-                                       out_dst_.begin() + out_offsets_[u + 1],
-                                       v);
-  QSC_CHECK(out_it != out_dst_.end() && *out_it == v);
-  out_w_[out_it - out_dst_.begin()] = weight;
-
-  const auto in_it = std::lower_bound(in_src_.begin() + in_offsets_[v],
-                                      in_src_.begin() + in_offsets_[v + 1], u);
-  QSC_CHECK(in_it != in_src_.end() && *in_it == u);
-  in_w_[in_it - in_src_.begin()] = weight;
-}
-
-void Graph::RecomputeWeightCaches(NodeId u, NodeId v) {
-  // Row sums in row order and the total in global (src, dst) order — the
-  // exact accumulation order of FromCoalescedArcs, so the caches of a
-  // mutated graph match a rebuild bit for bit. Undirected mutations touch
-  // the rows of both endpoints in both directions.
-  for (const NodeId x : {u, v}) {
-    double out_sum = 0.0;
-    for (const NeighborEntry e : OutNeighbors(x)) out_sum += e.weight;
-    out_weight_[x] = out_sum;
-    double in_sum = 0.0;
-    for (const NeighborEntry e : InNeighbors(x)) in_sum += e.weight;
-    in_weight_[x] = in_sum;
-  }
-  double total = 0.0;
-  for (const double w : out_w_) total += w;
-  total_weight_ = total;
+  return ApplyInPlace({EdgeEditKind::kUpdateWeight, u, v, weight});
 }
 
 int64_t Graph::MemoryBytes() const {

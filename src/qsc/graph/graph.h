@@ -46,6 +46,33 @@ struct EdgeTriple {
   double weight;
 };
 
+// The kinds of single-edge edit Graph::WithEdits applies (the
+// dynamic-graph substrate, docs/DYNAMIC.md; qsc::dynamic re-exports them
+// as EditKind / EditOp).
+enum class EdgeEditKind {
+  kInsertEdge = 0,
+  kDeleteEdge = 1,
+  kUpdateWeight = 2,
+};
+
+// One edit. On an undirected graph (src, dst) addresses the logical edge
+// {src, dst}. `weight` is the new arc weight for inserts and updates and
+// is ignored (conventionally 0) for deletes.
+struct EdgeEdit {
+  EdgeEditKind kind = EdgeEditKind::kInsertEdge;
+  NodeId src = 0;
+  NodeId dst = 0;
+  double weight = 0.0;
+
+  friend bool operator==(const EdgeEdit& a, const EdgeEdit& b) {
+    return a.kind == b.kind && a.src == b.src && a.dst == b.dst &&
+           a.weight == b.weight;
+  }
+  friend bool operator!=(const EdgeEdit& a, const EdgeEdit& b) {
+    return !(a == b);
+  }
+};
+
 // Iterable view over one node's adjacency list, sorted by endpoint id: a
 // zip over the parallel (endpoint id, weight) arrays. Dereferencing yields
 // a NeighborEntry by value; `nodes()`/`weights()` expose the raw SoA
@@ -157,7 +184,7 @@ class NeighborRange {
 class GraphView;
 
 // Owning CSR graph. Immutable after construction except through the
-// Status-returning single-edge mutators.
+// Status-returning edit path (WithEdits and its single-edge wrappers).
 class Graph {
  public:
   // Compatibility alias; NeighborRange lives at namespace scope so
@@ -241,18 +268,30 @@ class Graph {
   // Heap footprint of the owned arrays plus the object itself.
   int64_t MemoryBytes() const;
 
-  // In-place single-edge mutators (the dynamic-graph substrate,
-  // docs/DYNAMIC.md). On an undirected graph each call addresses the
-  // logical edge {u,v} and keeps both stored arcs in sync. A mutated
-  // graph is bit-identical (all fields, including the cached weight
-  // aggregates) to FromArcs() over the mutated arc list, so downstream
-  // consumers cannot tell a mutation from a rebuild.
+  // Edits (the dynamic-graph substrate, docs/DYNAMIC.md). On an
+  // undirected graph each edit addresses the logical edge {u,v} and keeps
+  // both stored arcs in sync. An edited graph is bit-identical (all
+  // fields, including the cached weight aggregates) to FromArcs() over the
+  // edited arc list, so downstream consumers cannot tell an edit from a
+  // rebuild.
   //
   // Rejections: out-of-range endpoint or a non-finite / zero weight (the
   // paper convention is that an arc exists iff its weight is nonzero)
-  // => kInvalidArgument; AddEdge of a present arc => kInvalidArgument
-  // (use SetWeight); RemoveEdge/SetWeight of an absent arc => kNotFound.
-  // On any error the graph is unchanged. Each call is O(num_arcs).
+  // => kInvalidArgument; inserting a present arc => kInvalidArgument
+  // (update it instead); deleting or updating an absent arc => kNotFound.
+  //
+  // WithEdits applies `edits` in order to a copy of this graph, all or
+  // nothing: each edit is validated against the graph as the earlier
+  // edits of the batch left it, and the first invalid one fails the whole
+  // batch with its status (and, when `failed_edit` is non-null, its index
+  // in *failed_edit). The valid batch is then merged into fresh CSR arrays
+  // in one pass, so a batch of k edits costs O(num_nodes + num_arcs +
+  // k log k) — not O(k * num_arcs).
+  StatusOr<Graph> WithEdits(const std::vector<EdgeEdit>& edits,
+                            size_t* failed_edit = nullptr) const;
+
+  // One-edit batches applied in place. On any error the graph is
+  // unchanged. Each call is O(num_nodes + num_arcs).
   Status AddEdge(NodeId u, NodeId v, double weight);
   Status RemoveEdge(NodeId u, NodeId v);
   Status SetWeight(NodeId u, NodeId v, double weight);
@@ -271,19 +310,8 @@ class Graph {
   static Graph FromCoalescedArcs(NodeId num_nodes, std::vector<EdgeTriple> arcs,
                                  bool undirected);
 
-  // Single-arc CSR surgery for the mutators above. Each touches exactly
-  // one out-row and one in-row and shifts the offset tables; the caller
-  // is responsible for mirroring on undirected graphs and for restoring
-  // the weight aggregates via RecomputeWeightCaches.
-  void InsertArcInPlace(NodeId u, NodeId v, double weight);
-  void EraseArcInPlace(NodeId u, NodeId v);
-  void SetArcWeightInPlace(NodeId u, NodeId v, double weight);
-
-  // Recomputes out_weight_[u], in_weight_[v], and total_weight_ in the
-  // same accumulation order FromCoalescedArcs uses (row order for node
-  // sums, global (src, dst) order for the total), so a mutated graph
-  // matches a rebuild bit for bit.
-  void RecomputeWeightCaches(NodeId u, NodeId v);
+  // Replaces this graph with WithEdits({edit}) when the edit is valid.
+  Status ApplyInPlace(const EdgeEdit& edit);
 
   NodeId num_nodes_ = 0;
   bool undirected_ = false;

@@ -5,13 +5,17 @@
 // back to from-scratch recoloring, so the comparison is bitwise). With a
 // positive tolerance the repaired path is checked phase by phase against a
 // serialized oracle session replaying the identical edit/query history.
-// The CI `thread` sanitizer job runs this binary under TSan (suite name
-// matches the 'DynamicRecolor' regex).
+// A fallback is lazy — ApplyEdits drops the entry's refiner and the
+// spec's next query rebuilds it — so the lazy-fallback suite checks the
+// counters, the footprint and the racing first queries of that rebuild.
+// The CI `thread` sanitizer job runs this binary under TSan (suite names
+// match the 'DynamicRecolor' regex).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -238,6 +242,158 @@ TEST(DynamicRecolorConcurrencyTest, PhasedRepairsMatchSerializedOracle) {
             serial_stats.coloring.repairs);
   EXPECT_EQ(concurrent_stats.coloring.fallbacks,
             serial_stats.coloring.fallbacks);
+}
+
+// Zero-tolerance coloring specs over distinct split rules and witness
+// weights: every one falls back on every batch.
+std::vector<QueryOptions> FallbackSpecs(ColorId budget) {
+  std::vector<QueryOptions> specs;
+  for (const char* backend : {"rothko", "lp-rounding", "bucket"}) {
+    QueryOptions options;
+    options.max_colors = budget;
+    options.backend = backend;
+    specs.push_back(options);
+  }
+  QueryOptions weighted;
+  weighted.max_colors = budget;
+  weighted.alpha = 1.0;
+  weighted.beta = 1.0;
+  specs.push_back(weighted);
+  return specs;
+}
+
+ColoringResult MustColor(Compressor& session, const QueryOptions& options) {
+  StatusOr<ColoringResult> result = session.Coloring(options);
+  QSC_CHECK_OK(result);
+  return std::move(result).value();
+}
+
+// Two batches with no query in between: the first discards the entry's
+// coloring work, the second finds nothing to discard. The next query
+// equals a fresh session on the twice-edited graph, and the footprint
+// drops by the discarded refiner and snapshot on every fallback.
+TEST(DynamicRecolorLazyFallbackTest, BackToBackBatchesDiscardWorkOnce) {
+  const Graph g = StressGraph();
+  const std::vector<std::vector<dynamic::EditOp>> batches =
+      StressBatches(g, 3);
+  const std::vector<Graph> versions = VersionChain(g, batches);
+  QueryOptions query;
+  query.max_colors = 24;
+
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  MustColor(session, query);
+  const int64_t warm_bytes = session.stats().coloring.bytes_in_use;
+
+  const StatusOr<EditApplyResult> first = session.ApplyEdits(batches[0]);
+  QSC_CHECK_OK(first);
+  EXPECT_EQ(first->fallbacks, 1);
+  EXPECT_EQ(first->repairs, 0);
+  const int64_t reset_bytes = session.stats().coloring.bytes_in_use;
+  EXPECT_LT(reset_bytes, warm_bytes);
+
+  const StatusOr<EditApplyResult> second = session.ApplyEdits(batches[1]);
+  QSC_CHECK_OK(second);
+  EXPECT_EQ(second->fallbacks, 0) << "the reset entry counted again";
+  EXPECT_EQ(second->repairs, 0);
+  EXPECT_EQ(session.stats().coloring.bytes_in_use, reset_bytes);
+
+  // The rebuild on the next query: bitwise a fresh session's answer and
+  // footprint on the twice-edited graph.
+  const ColoringResult rebuilt = MustColor(session, query);
+  Compressor fresh(std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(),
+                                                &versions[2]));
+  const ColoringResult want = MustColor(fresh, query);
+  EXPECT_TRUE(*rebuilt.coloring == *want.coloring);
+  EXPECT_EQ(rebuilt.max_q, want.max_q);
+  EXPECT_EQ(rebuilt.telemetry.graph_version, 2);
+  const int64_t rebuilt_bytes = session.stats().coloring.bytes_in_use;
+  EXPECT_EQ(rebuilt_bytes, fresh.stats().coloring.bytes_in_use);
+
+  // A third batch discards exactly what that query rebuilt.
+  const StatusOr<EditApplyResult> third = session.ApplyEdits(batches[2]);
+  QSC_CHECK_OK(third);
+  EXPECT_EQ(third->fallbacks, 1);
+  EXPECT_EQ(session.stats().coloring.bytes_in_use, reset_bytes);
+
+  const CacheStats stats = session.stats().coloring;
+  EXPECT_EQ(stats.edit_batches, 3);
+  EXPECT_EQ(stats.fallbacks, 2);
+  EXPECT_EQ(stats.repairs, 0);
+}
+
+// Several fallback specs' first post-edit queries race from many
+// threads. Each spec's refiner is rebuilt once — the split count equals
+// one fresh refinement per spec — every lookup reconciles as a hit, and
+// every answer equals a single-threaded oracle on the edited graph.
+TEST(DynamicRecolorLazyFallbackTest, RacingFirstQueriesRebuildEachSpecOnce) {
+  const Graph g = StressGraph();
+  const std::vector<std::vector<dynamic::EditOp>> batches =
+      StressBatches(g, 1);
+  const std::vector<Graph> versions = VersionChain(g, batches);
+  const std::vector<QueryOptions> specs = FallbackSpecs(/*budget=*/24);
+
+  Compressor session(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &g));
+  for (const QueryOptions& spec : specs) MustColor(session, spec);
+  const StatusOr<EditApplyResult> applied = session.ApplyEdits(batches[0]);
+  QSC_CHECK_OK(applied);
+  EXPECT_EQ(applied->fallbacks, static_cast<int64_t>(specs.size()));
+  const CacheStats before = session.stats().coloring;
+
+  constexpr int kThreads = 6;
+  std::vector<std::vector<ColoringResult>> seen(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Staggered spec order, so first queries of different specs and
+        // of the same spec collide.
+        for (size_t i = 0; i < specs.size(); ++i) {
+          const QueryOptions& spec =
+              specs[(i + static_cast<size_t>(t)) % specs.size()];
+          seen[t].push_back(MustColor(session, spec));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  // Single-threaded oracle on the edited graph: one fresh refinement per
+  // spec, in a fresh session.
+  Compressor oracle(std::shared_ptr<const Graph>(
+      std::shared_ptr<const Graph>(), &versions[1]));
+  std::vector<ColoringResult> want;
+  for (const QueryOptions& spec : specs) want.push_back(MustColor(oracle, spec));
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const size_t s = (i + static_cast<size_t>(t)) % specs.size();
+      ASSERT_TRUE(*seen[t][i].coloring == *want[s].coloring)
+          << "thread " << t << " spec " << s;
+      ASSERT_EQ(seen[t][i].max_q, want[s].max_q);
+      EXPECT_EQ(seen[t][i].telemetry.graph_version, 1);
+    }
+  }
+
+  const CacheStats after = session.stats().coloring;
+  const CacheStats fresh = oracle.stats().coloring;
+  const int64_t lookups = kThreads * static_cast<int64_t>(specs.size());
+  EXPECT_EQ(after.lookups - before.lookups, lookups);
+  EXPECT_EQ(after.hits - before.hits, lookups);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.recolorings, before.recolorings);
+  EXPECT_EQ(after.hits + after.misses + after.recolorings, after.lookups);
+  EXPECT_EQ(after.refine_splits - before.refine_splits, fresh.refine_splits)
+      << "a spec's refiner was rebuilt more than once";
+  int64_t row_lookups = 0;
+  for (const auto& [backend, row] : after.per_backend) {
+    EXPECT_EQ(row.hits + row.misses + row.recolorings, row.lookups)
+        << backend;
+    row_lookups += row.lookups;
+  }
+  EXPECT_EQ(row_lookups, after.lookups);
+  EXPECT_EQ(after.bytes_in_use, fresh.bytes_in_use);
 }
 
 }  // namespace
