@@ -2,9 +2,10 @@
 # The layering gate, runnable locally: the library modules below the
 # session API (util, parallel, graph, coloring, flow, lp, centrality,
 # dynamic) must not include the layers built on top of them (api,
-# workload, eval, bench), and graph/ — the substrate every solver and
-# the dynamic edit model build on — includes nothing but util/. The CI
-# `format` job runs exactly this script.
+# workload, eval, bench), graph/ — the substrate every solver and the
+# dynamic edit model build on — includes nothing but util/, and the load
+# harness (workload/) includes neither harness CLI layer (eval, bench).
+# The CI `format` job runs exactly this script.
 #
 #   scripts/check-layering.sh
 set -euo pipefail
@@ -29,10 +30,17 @@ while IFS= read -r hit; do
 done < <(grep -rnE "^[[:space:]]*#[[:space:]]*include[[:space:]]*[\"<]qsc/" \
            src/qsc/graph | grep -vE "[\"<]qsc/(graph|util)/" || true)
 
+while IFS= read -r hit; do
+  echo "check-layering: ${hit}: qsc/workload includes qsc/eval or qsc/bench" >&2
+  violations=$((violations + 1))
+done < <(grep -rnE "^[[:space:]]*#[[:space:]]*include[[:space:]]*[\"<]qsc/(eval|bench)/" \
+           src/qsc/workload || true)
+
 if [[ "$violations" -gt 0 ]]; then
   echo "check-layering: ${violations} upward include(s)" >&2
   exit 1
 fi
 echo "check-layering: no module under src/qsc/{$(IFS=,; echo "${lower[*]}")}" \
-     "includes qsc/{api,workload,eval,bench}, and qsc/graph includes only" \
-     "qsc/{graph,util}"
+     "includes qsc/{api,workload,eval,bench}, qsc/graph includes only" \
+     "qsc/{graph,util}, and qsc/workload includes neither qsc/eval nor" \
+     "qsc/bench"

@@ -43,6 +43,14 @@ Status ValidateCommonOptions(const QueryOptions& options) {
     return Status::InvalidArgument("beta must be finite; got " +
                                    std::to_string(*options.beta));
   }
+  // The kernels read any other enum value as one of the two rules, while
+  // the cache keys it as a spec of its own: reject it here.
+  if (options.split_mean != SplitMean::kArithmetic &&
+      options.split_mean != SplitMean::kGeometric) {
+    return Status::InvalidArgument(
+        "split_mean out of range; got " +
+        std::to_string(static_cast<int>(options.split_mean)));
+  }
   return Status::Ok();
 }
 
@@ -278,6 +286,12 @@ class Compressor::Impl {
       return Status::InvalidArgument(
           "SolveLp pins the objective row and rhs column internally; "
           "explicit pins are not supported");
+    }
+    if (options.lp_variant != LpReduction::kSqrtNormalized &&
+        options.lp_variant != LpReduction::kGrohe) {
+      return Status::InvalidArgument(
+          "lp_variant out of range; got " +
+          std::to_string(static_cast<int>(options.lp_variant)));
     }
     StatusOr<std::string> backend = ValidateBackend(options.backend);
     if (!backend.ok()) return backend.status();

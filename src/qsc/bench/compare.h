@@ -10,52 +10,17 @@
 // generous noise tolerance (default: fail only when the median slows
 // down by more than 2x), and medians below a floor are skipped entirely,
 // so shared-runner jitter cannot flake the gate.
-//
-// The parser is deliberately minimal: full JSON values, no streaming, no
-// comments — just enough to read back what eval::JsonWriter emits.
 
 #ifndef QSC_BENCH_COMPARE_H_
 #define QSC_BENCH_COMPARE_H_
 
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
-#include "qsc/util/status.h"
+#include "qsc/util/json.h"
 
 namespace qsc {
 namespace bench {
-
-// Parsed JSON value (tagged union). Numbers are doubles, objects preserve
-// insertion order; duplicate keys keep the last value (RFC 8259 allows
-// either).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number_value = 0.0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  bool is_null() const { return kind == Kind::kNull; }
-
-  // Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Get(std::string_view key) const;
-
-  // Typed accessors returning a fallback on kind mismatch.
-  double NumberOr(double fallback) const {
-    return kind == Kind::kNumber ? number_value : fallback;
-  }
-  std::string StringOr(std::string fallback) const {
-    return kind == Kind::kString ? string_value : std::move(fallback);
-  }
-};
-
-// Parses exactly one JSON document (trailing garbage is an error).
-Status ParseJson(std::string_view text, JsonValue* out);
 
 struct CompareOptions {
   // A timing violation requires current_median > max_slowdown *
@@ -96,9 +61,6 @@ struct CompareReport {
 CompareReport CompareBenchReports(const JsonValue& baseline,
                                   const JsonValue& current,
                                   const CompareOptions& options);
-
-// Reads a whole file; error when unreadable.
-Status ReadFile(const std::string& path, std::string* contents);
 
 }  // namespace bench
 }  // namespace qsc

@@ -3,12 +3,14 @@
 // Run mode executes registered perf scenarios (steady-clock timing with
 // warmup/repeat and median/MAD stats, peak-RSS sampling) and either prints
 // human tables or, with --json, writes one schema-versioned artifact per
-// scenario group: BENCH_coloring.json, BENCH_pipelines.json,
-// BENCH_serving.json, and BENCH_flow.json.
+// scenario group (BENCH_coloring.json, BENCH_pipelines.json, ...,
+// BENCH_paper.json). A scenario with a detail table (the paper/* figure
+// and table reproductions) prints it, followed by its counters.
 //
 //   qsc_bench --list
 //   qsc_bench --suite smoke --json          # the CI benchmark job
 //   qsc_bench --scenario coloring/rothko-ba-100k-c256 --repeats 9
+//   qsc_bench --scenario paper/fig1-karate  # one paper figure's table
 //
 // Compare mode gates a fresh run against a committed baseline: counters
 // must match exactly, medians within a noise tolerance.
@@ -17,7 +19,6 @@
 //             BENCH_coloring.json --tolerance 2.0   (one command line)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -26,6 +27,8 @@
 #include "qsc/bench/report.h"
 #include "qsc/bench/scenario.h"
 #include "qsc/parallel/thread_pool.h"
+#include "qsc/util/flags.h"
+#include "qsc/util/json.h"
 #include "qsc/util/table.h"
 
 namespace qsc {
@@ -55,49 +58,6 @@ void PrintUsage(FILE* out) {
       "  --tolerance=X          max median slowdown (default 2.0)\n"
       "  --min-median=S         timing-gate floor in seconds (default 0.01)\n"
       "flags accept both --flag=value and --flag value forms\n");
-}
-
-// Matches `--name=value` or `--name value`; advances *i for the latter.
-bool MatchFlag(int argc, char** argv, int* i, const char* name,
-               std::string* value) {
-  const char* arg = argv[*i];
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  if (arg[len] == '\0') {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "qsc_bench: %s needs a value\n", name);
-      std::exit(2);
-    }
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
-int64_t ParseInt(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0') {
-    std::fprintf(stderr, "qsc_bench: bad %s value '%s'\n", flag,
-                 value.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-double ParseDouble(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || *end != '\0') {
-    std::fprintf(stderr, "qsc_bench: bad %s value '%s'\n", flag,
-                 value.c_str());
-    std::exit(2);
-  }
-  return parsed;
 }
 
 int ListScenarios() {
@@ -149,6 +109,7 @@ int Main(int argc, char** argv) {
   std::string baseline_path, current_path;
   CompareOptions compare_options;
 
+  const FlagParser flags("qsc_bench", argc, argv);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
@@ -164,54 +125,35 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--compare") == 0 ||
                std::strcmp(arg, "--compare-counters") == 0) {
       if (i + 2 >= argc) {
-        std::fprintf(stderr, "qsc_bench: %s needs BASELINE and CURRENT\n",
-                     arg);
-        return 2;
+        flags.Fail(std::string(arg) + " needs BASELINE and CURRENT");
       }
       compare = true;
       compare_options.counters_only =
           std::strcmp(arg, "--compare-counters") == 0;
       baseline_path = argv[++i];
       current_path = argv[++i];
-    } else if (MatchFlag(argc, argv, &i, "--suite", &value)) {
+    } else if (flags.Match(&i, "--suite", &value)) {
       if (value != "smoke" && value != "full") {
-        std::fprintf(stderr, "qsc_bench: unknown suite '%s'\n", value.c_str());
-        return 2;
+        flags.Fail("unknown suite '" + value + "'");
       }
       suite = value;
-    } else if (MatchFlag(argc, argv, &i, "--scenario", &value)) {
+    } else if (flags.Match(&i, "--scenario", &value)) {
       names.push_back(value);
-    } else if (MatchFlag(argc, argv, &i, "--seed", &value)) {
-      char* end = nullptr;
-      context.seed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || value[0] == '-' || *end != '\0') {
-        std::fprintf(stderr, "qsc_bench: bad seed '%s'\n", value.c_str());
-        return 2;
-      }
-    } else if (MatchFlag(argc, argv, &i, "--threads", &value)) {
-      context.threads = static_cast<int>(ParseInt(value, "--threads"));
-      if (context.threads < 1) {
-        std::fprintf(stderr, "qsc_bench: --threads must be >= 1\n");
-        return 2;
-      }
-    } else if (MatchFlag(argc, argv, &i, "--warmup", &value)) {
-      context.measure.warmup = static_cast<int>(ParseInt(value, "--warmup"));
-      if (context.measure.warmup < 0) {
-        std::fprintf(stderr, "qsc_bench: --warmup must be >= 0\n");
-        return 2;
-      }
-    } else if (MatchFlag(argc, argv, &i, "--repeats", &value)) {
-      context.measure.repeats = static_cast<int>(ParseInt(value, "--repeats"));
-      if (context.measure.repeats < 1) {
-        std::fprintf(stderr, "qsc_bench: --repeats must be >= 1\n");
-        return 2;
-      }
-    } else if (MatchFlag(argc, argv, &i, "--out-dir", &value)) {
+    } else if (flags.Match(&i, "--seed", &value)) {
+      context.seed = flags.ParseSeed(value);
+    } else if (flags.Match(&i, "--threads", &value)) {
+      context.threads = flags.ParseInt(value, "--threads", 1);
+    } else if (flags.Match(&i, "--warmup", &value)) {
+      context.measure.warmup = flags.ParseInt(value, "--warmup", 0);
+    } else if (flags.Match(&i, "--repeats", &value)) {
+      context.measure.repeats = flags.ParseInt(value, "--repeats", 1);
+    } else if (flags.Match(&i, "--out-dir", &value)) {
       out_dir = value;
-    } else if (MatchFlag(argc, argv, &i, "--tolerance", &value)) {
-      compare_options.max_slowdown = ParseDouble(value, "--tolerance");
-    } else if (MatchFlag(argc, argv, &i, "--min-median", &value)) {
-      compare_options.min_median_seconds = ParseDouble(value, "--min-median");
+    } else if (flags.Match(&i, "--tolerance", &value)) {
+      compare_options.max_slowdown = flags.ParseDouble(value, "--tolerance");
+    } else if (flags.Match(&i, "--min-median", &value)) {
+      compare_options.min_median_seconds =
+          flags.ParseDouble(value, "--min-median");
     } else {
       std::fprintf(stderr, "qsc_bench: unknown argument '%s'\n", arg);
       PrintUsage(stderr);
@@ -235,9 +177,7 @@ int Main(int argc, char** argv) {
     for (const std::string& name : names) {
       const Scenario* s = registry.Find(name);
       if (s == nullptr) {
-        std::fprintf(stderr, "qsc_bench: unknown scenario '%s' (try --list)\n",
-                     name.c_str());
-        return 2;
+        flags.Fail("unknown scenario '" + name + "' (try --list)");
       }
       selected.push_back(s);
     }
@@ -268,10 +208,7 @@ int Main(int argc, char** argv) {
       const std::string path = out_dir + "/" + BenchFileName(group);
       const Status status =
           WriteFile(path, ReportGroupJson(report, group, pretty) + "\n");
-      if (!status.ok()) {
-        std::fprintf(stderr, "qsc_bench: %s\n", status.message().c_str());
-        return 2;
-      }
+      if (!status.ok()) flags.Fail(status.message());
       std::printf("wrote %s\n", path.c_str());
     }
     return 0;
@@ -298,6 +235,11 @@ int Main(int argc, char** argv) {
       TablePrinter detail(r.table_header);
       for (const auto& row : r.table_rows) detail.AddRow(row);
       detail.Print(stdout);
+      // The scalar results beside the table (e.g. a figure's headline
+      // color count); the JSON report carries them at full precision.
+      for (const auto& [name, value] : r.counters) {
+        std::printf("%s = %.10g\n", name.c_str(), value);
+      }
       std::printf("\n");
     }
   }

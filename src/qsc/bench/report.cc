@@ -1,9 +1,8 @@
 #include "qsc/bench/report.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "qsc/eval/json.h"
+#include "qsc/util/json.h"
 
 namespace qsc {
 namespace bench {
@@ -21,7 +20,7 @@ std::vector<std::string> ReportGroups(const BenchReport& report) {
 
 namespace {
 
-void WriteScenarioJson(const ScenarioResult& r, eval::JsonWriter& w) {
+void WriteScenarioJson(const ScenarioResult& r, JsonWriter& w) {
   w.BeginObject();
   w.KV("name", r.name);
   w.Key("params");
@@ -64,7 +63,7 @@ std::string ReportGroupJson(const BenchReport& report,
               return a->name < b->name;
             });
 
-  eval::JsonWriter w(pretty);
+  JsonWriter w(pretty);
   w.BeginObject();
   w.KV("tool", "qsc_bench");
   w.KV("schema_version", kBenchSchemaVersion);
@@ -84,19 +83,6 @@ std::string ReportGroupJson(const BenchReport& report,
 
 std::string BenchFileName(const std::string& group) {
   return "BENCH_" + group + ".json";
-}
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open for writing: " + path);
-  }
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != contents.size() || !close_ok) {
-    return Status::Internal("short write: " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace bench

@@ -27,7 +27,7 @@
 //
 // "params" and "counters" are functions of (scenario, seed) and compare
 // exactly across runs; "timing" and "peak_rss_mib" are machine-dependent.
-// Doubles render via eval::JsonNumber, so equal values are textually equal.
+// Doubles render via JsonNumber, so equal values are textually equal.
 
 #ifndef QSC_BENCH_REPORT_H_
 #define QSC_BENCH_REPORT_H_
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "qsc/bench/scenario.h"
-#include "qsc/util/status.h"
 
 namespace qsc {
 namespace bench {
@@ -66,9 +65,6 @@ std::string ReportGroupJson(const BenchReport& report,
 
 // Canonical artifact name for a group: "BENCH_<group>.json".
 std::string BenchFileName(const std::string& group);
-
-// Writes `contents` to `path` (error on I/O failure).
-Status WriteFile(const std::string& path, const std::string& contents);
 
 }  // namespace bench
 }  // namespace qsc

@@ -1,5 +1,5 @@
 // The three "graph -> coloring -> application -> error vs. exact"
-// pipeline drivers shared by Workload::Run, the bench binaries, and the
+// pipeline drivers shared by Workload::Run, the paper/* scenarios, and the
 // differential layer. Each driver times the exact oracle once, then sweeps
 // the coloring approximation over ascending color budgets through one
 // qsc::Compressor session, so each budget *continues* the cached coloring

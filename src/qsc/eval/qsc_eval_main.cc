@@ -21,12 +21,12 @@
 #include <vector>
 
 #include "qsc/coloring/backend.h"
-
 #include "qsc/eval/differential.h"
-#include "qsc/eval/json.h"
 #include "qsc/eval/suites.h"
 #include "qsc/eval/workload.h"
 #include "qsc/parallel/thread_pool.h"
+#include "qsc/util/flags.h"
+#include "qsc/util/json.h"
 
 namespace qsc {
 namespace eval {
@@ -55,18 +55,13 @@ void PrintUsage(FILE* out) {
       "                         any N; default 1)\n"
       "  --flow-lower-bound     also compute the Theorem-6 c^1 bound\n"
       "  --check                run the differential invariant suite too\n"
-      "  --compact              single-line JSON (default: pretty)\n",
+      "  --compact              single-line JSON (default: pretty)\n"
+      "flags accept both --flag=value and --flag value forms\n",
       kDefaultWorkloads[0], kDefaultWorkloads[1], kDefaultWorkloads[2]);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
-std::vector<ColorId> ParseColorList(const std::string& csv) {
+std::vector<ColorId> ParseColorList(const FlagParser& flags,
+                                    const std::string& csv) {
   std::vector<ColorId> out;
   size_t pos = 0;
   while (pos < csv.size()) {
@@ -80,18 +75,14 @@ std::vector<ColorId> ParseColorList(const std::string& csv) {
     // not something to truncate silently.
     if (token.empty() || *end != '\0' || value < 2 ||
         value > std::numeric_limits<ColorId>::max()) {
-      std::fprintf(stderr, "qsc_eval: bad color budget '%s'\n", token.c_str());
-      std::exit(2);
+      flags.Fail("bad color budget '" + token + "'");
     }
     out.push_back(static_cast<ColorId>(value));
     pos = comma + 1;
   }
-  if (out.empty()) {
-    // An empty --colors= (e.g. from an unset shell variable) must not
-    // silently fall back to the default sweep.
-    std::fprintf(stderr, "qsc_eval: --colors needs at least one budget\n");
-    std::exit(2);
-  }
+  // An empty --colors= (e.g. from an unset shell variable) must not
+  // silently fall back to the default sweep.
+  if (out.empty()) flags.Fail("--colors needs at least one budget");
   return out;
 }
 
@@ -109,7 +100,8 @@ std::vector<std::string> ParseBackendList(const std::string& csv) {
 
 // Canonicalizes and validates --backend values against the backend names;
 // exits like the other flag parsers on a name that cannot run.
-std::vector<std::string> ResolveBackends(std::vector<std::string> raw) {
+std::vector<std::string> ResolveBackends(const FlagParser& flags,
+                                         std::vector<std::string> raw) {
   if (raw.empty()) raw.push_back("");
   std::vector<std::string> out;
   for (const std::string& name : raw) {
@@ -120,9 +112,8 @@ std::vector<std::string> ResolveBackends(std::vector<std::string> raw) {
         if (!known.empty()) known += ", ";
         known += n;
       }
-      std::fprintf(stderr, "qsc_eval: unknown backend '%s' (registered: %s)\n",
-                   name.c_str(), known.c_str());
-      std::exit(2);
+      flags.Fail("unknown backend '" + name + "' (registered: " + known +
+                 ")");
     }
     if (std::find(out.begin(), out.end(), *canonical) == out.end()) {
       out.push_back(*canonical);
@@ -174,6 +165,7 @@ int Main(int argc, char** argv) {
   std::vector<std::string> backends;
   bool list = false, all = false, run_checks = false, pretty = true;
 
+  const FlagParser flags("qsc_eval", argc, argv);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
@@ -190,33 +182,19 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       PrintUsage(stdout);
       return 0;
-    } else if (ParseFlag(arg, "--workload", &value)) {
+    } else if (flags.Match(&i, "--workload", &value)) {
       names.push_back(value);
-    } else if (ParseFlag(arg, "--seed", &value)) {
-      char* end = nullptr;
-      options.seed = std::strtoull(value.c_str(), &end, 10);
-      // strtoull wraps a leading '-' instead of failing; treat it as bad.
-      if (value.empty() || value[0] == '-' || *end != '\0') {
-        // A silently-misparsed seed would betray the reproducibility
-        // contract; reject it like a bad color budget.
-        std::fprintf(stderr, "qsc_eval: bad seed '%s'\n", value.c_str());
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--colors", &value)) {
-      options.color_budgets = ParseColorList(value);
-    } else if (ParseFlag(arg, "--backend", &value)) {
+    } else if (flags.Match(&i, "--seed", &value)) {
+      options.seed = flags.ParseSeed(value);
+    } else if (flags.Match(&i, "--colors", &value)) {
+      options.color_budgets = ParseColorList(flags, value);
+    } else if (flags.Match(&i, "--backend", &value)) {
       const std::vector<std::string> parsed = ParseBackendList(value);
       backends.insert(backends.end(), parsed.begin(), parsed.end());
-    } else if (ParseFlag(arg, "--threads", &value)) {
-      char* end = nullptr;
-      const long threads = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || threads < 1) {
-        std::fprintf(stderr, "qsc_eval: bad --threads '%s'\n", value.c_str());
-        return 2;
-      }
-      SetDefaultPoolThreads(static_cast<int>(threads));
+    } else if (flags.Match(&i, "--threads", &value)) {
+      SetDefaultPoolThreads(flags.ParseInt(value, "--threads", 1));
       options.pool = DefaultPool();
-    } else if (ParseFlag(arg, "--flow-solver", &value)) {
+    } else if (flags.Match(&i, "--flow-solver", &value)) {
       if (value == "dinic") {
         options.flow_solver = FlowSolver::kDinic;
       } else if (value == "edmonds-karp") {
@@ -224,29 +202,23 @@ int Main(int argc, char** argv) {
       } else if (value == "push-relabel") {
         options.flow_solver = FlowSolver::kPushRelabel;
       } else {
-        std::fprintf(stderr, "qsc_eval: unknown flow solver '%s'\n",
-                     value.c_str());
-        return 2;
+        flags.Fail("unknown flow solver '" + value + "'");
       }
-    } else if (ParseFlag(arg, "--lp-oracle", &value)) {
+    } else if (flags.Match(&i, "--lp-oracle", &value)) {
       if (value == "simplex") {
         options.lp_oracle = LpOracle::kSimplex;
       } else if (value == "interior-point") {
         options.lp_oracle = LpOracle::kInteriorPoint;
       } else {
-        std::fprintf(stderr, "qsc_eval: unknown LP oracle '%s'\n",
-                     value.c_str());
-        return 2;
+        flags.Fail("unknown LP oracle '" + value + "'");
       }
-    } else if (ParseFlag(arg, "--split-mean", &value)) {
+    } else if (flags.Match(&i, "--split-mean", &value)) {
       if (value == "arithmetic") {
         options.split_mean = RothkoOptions::SplitMean::kArithmetic;
       } else if (value == "geometric") {
         options.split_mean = RothkoOptions::SplitMean::kGeometric;
       } else {
-        std::fprintf(stderr, "qsc_eval: unknown split mean '%s'\n",
-                     value.c_str());
-        return 2;
+        flags.Fail("unknown split mean '" + value + "'");
       }
     } else {
       std::fprintf(stderr, "qsc_eval: unknown argument '%s'\n", arg);
@@ -257,7 +229,7 @@ int Main(int argc, char** argv) {
 
   if (list) return ListWorkloads();
 
-  backends = ResolveBackends(std::move(backends));
+  backends = ResolveBackends(flags, std::move(backends));
 
   const WorkloadRegistry& registry = WorkloadRegistry::Global();
   std::vector<const Workload*> selected;
@@ -270,10 +242,7 @@ int Main(int argc, char** argv) {
     for (const std::string& name : names) {
       const Workload* w = registry.Find(name);
       if (w == nullptr) {
-        std::fprintf(stderr,
-                     "qsc_eval: unknown workload '%s' (try --list)\n",
-                     name.c_str());
-        return 2;
+        flags.Fail("unknown workload '" + name + "' (try --list)");
       }
       selected.push_back(w);
     }

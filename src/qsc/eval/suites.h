@@ -1,7 +1,7 @@
 // Named instance suites and the builtin workload registrations.
 //
 // The *suites* are the stand-ins for the paper's Table 2/3 datasets (see
-// DESIGN.md §3), generated at their canonical seeds; the bench binaries
+// DESIGN.md §3), generated at their canonical seeds; the paper/* scenarios
 // draw their instances from here so the experiment index stays consistent.
 // The *builtin workloads* are smaller seeded scenarios registered with the
 // WorkloadRegistry for the qsc_eval CLI and the differential test layer —

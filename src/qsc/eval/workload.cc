@@ -5,13 +5,13 @@
 #include <utility>
 
 #include "qsc/coloring/backend.h"
-#include "qsc/eval/json.h"
 #include "qsc/eval/pipelines.h"
 #include "qsc/flow/dinic.h"
 #include "qsc/flow/edmonds_karp.h"
 #include "qsc/flow/push_relabel.h"
 #include "qsc/lp/interior_point.h"
 #include "qsc/util/check.h"
+#include "qsc/util/json.h"
 
 namespace qsc {
 namespace eval {

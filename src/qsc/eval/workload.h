@@ -11,8 +11,8 @@
 //
 // A Workload packages the instance source and default sweep for one named
 // scenario; the WorkloadRegistry makes scenarios addressable from the
-// qsc_eval CLI, the bench binaries, and the differential test layer. All
-// randomness flows through qsc::Rng seeded from EvalOptions::seed, so a
+// qsc_eval CLI, the qsc_bench scenarios, and the differential test layer.
+// All randomness flows through qsc::Rng seeded from EvalOptions::seed, so a
 // (workload, seed, budgets) triple is bit-reproducible.
 
 #ifndef QSC_EVAL_WORKLOAD_H_
@@ -32,11 +32,10 @@
 
 namespace qsc {
 
+class JsonWriter;
 class ThreadPool;
 
 namespace eval {
-
-class JsonWriter;
 
 // The three application areas of the paper's evaluation (Secs. 6-8).
 enum class Application { kMaxFlow, kLp, kCentrality };

@@ -1,20 +1,25 @@
-// Minimal streaming JSON writer for the evaluation harness. The eval CLI
-// and the benchmark trajectories emit machine-readable per-run records;
-// this writer guarantees two properties the harness relies on: output is
+// The JSON module shared by the harnesses: a streaming writer (qsc_eval
+// records, BENCH_*.json reports, workload traces), a minimal parser (the
+// baseline comparator reads those reports back), and whole-file I/O.
+//
+// The writer guarantees two properties the harnesses rely on: output is
 // always well-formed JSON, and a given double renders to the same text on
 // every run (shortest round-trippable form), so equal metrics compare equal
-// as strings.
+// as strings. The parser is deliberately minimal: full JSON values, no
+// streaming, no comments — just enough to read back what JsonWriter emits.
 
-#ifndef QSC_EVAL_JSON_H_
-#define QSC_EVAL_JSON_H_
+#ifndef QSC_UTIL_JSON_H_
+#define QSC_UTIL_JSON_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "qsc/util/status.h"
+
 namespace qsc {
-namespace eval {
 
 // Escapes `s` for inclusion inside a JSON string literal (quotes excluded).
 std::string JsonEscape(std::string_view s);
@@ -79,7 +84,42 @@ class JsonWriter {
   bool key_pending_ = false;
 };
 
-}  // namespace eval
+// Parsed JSON value (tagged union). Numbers are doubles, objects preserve
+// insertion order; duplicate keys keep the last value (RFC 8259 allows
+// either).
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Kind kind = Kind::kNull;
+  bool bool_value = false;
+  double number_value = 0.0;
+  std::string string_value;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  bool is_null() const { return kind == Kind::kNull; }
+
+  // Object member lookup; nullptr when absent or not an object.
+  const JsonValue* Get(std::string_view key) const;
+
+  // Typed accessors returning a fallback on kind mismatch.
+  double NumberOr(double fallback) const {
+    return kind == Kind::kNumber ? number_value : fallback;
+  }
+  std::string StringOr(std::string fallback) const {
+    return kind == Kind::kString ? string_value : std::move(fallback);
+  }
+};
+
+// Parses exactly one JSON document (trailing garbage is an error).
+Status ParseJson(std::string_view text, JsonValue* out);
+
+// Reads a whole file; error when unreadable.
+Status ReadFile(const std::string& path, std::string* contents);
+
+// Writes `contents` to `path` (error on I/O failure).
+Status WriteFile(const std::string& path, const std::string& contents);
+
 }  // namespace qsc
 
-#endif  // QSC_EVAL_JSON_H_
+#endif  // QSC_UTIL_JSON_H_

@@ -35,7 +35,7 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// printf-style float formatting helpers used by the bench binaries.
+// printf-style float formatting helpers used by the harness tables.
 std::string FormatDouble(double value, int precision = 3);
 std::string FormatSeconds(double seconds);  // "12.3ms", "4.56s", "2m08s"
 std::string FormatCount(int64_t count);     // "1 234 567"

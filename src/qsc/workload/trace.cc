@@ -7,8 +7,8 @@
 #include <limits>
 #include <utility>
 
-#include "qsc/eval/json.h"
 #include "qsc/util/check.h"
+#include "qsc/util/json.h"
 #include "qsc/util/random.h"
 
 namespace qsc {
@@ -335,7 +335,7 @@ std::string FormatTrace(const std::vector<TraceEvent>& events) {
   std::string out = has_edits ? kHeaderV2 : kHeaderV1;
   out += '\n';
   for (const TraceEvent& e : events) {
-    out += eval::JsonNumber(e.arrival_seconds);
+    out += JsonNumber(e.arrival_seconds);
     out += ' ';
     out += QueryKindName(e.kind);
     out += ' ';
@@ -404,7 +404,7 @@ StatusOr<std::vector<TraceEvent>> ParseTrace(std::string_view text) {
       return LineError(line_number,
                        "arrival_seconds must be non-decreasing; " +
                            tokens[0] + " follows " +
-                           eval::JsonNumber(last_arrival));
+                           JsonNumber(last_arrival));
     }
     last_arrival = event.arrival_seconds;
 

@@ -20,7 +20,7 @@
 //
 // with <kind> one of coloring | maxflow | maxflow-batch | solvelp |
 // centrality, <arrival_seconds> a non-decreasing finite double rendered in
-// shortest round-trip form (eval::JsonNumber), <budget> a positive color
+// shortest round-trip form (JsonNumber), <budget> a positive color
 // budget, <spec> a non-negative spec index, and <batch> a batch size >= 1
 // (meaningful for maxflow-batch, fixed at 1 otherwise). ParseTrace rejects
 // malformed input with a line-numbered InvalidArgument and never aborts —

@@ -83,6 +83,17 @@ TEST(CompressorValidationTest, RejectsNonFiniteAlphaBeta) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(CompressorValidationTest, RejectsOutOfRangeSplitMean) {
+  Compressor session(TestGraph());
+  QueryOptions query;
+  query.split_mean = static_cast<SplitMean>(7);
+  const auto result = session.Coloring(query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("split_mean"), std::string::npos);
+  EXPECT_EQ(session.stats().coloring.misses, 0);  // no cache entry made
+}
+
 TEST(CompressorValidationTest, RejectsOutOfRangeTerminals) {
   FlowInstance instance = TestInstance();
   const NodeId n = instance.graph.num_nodes();

@@ -94,6 +94,17 @@ TEST(SolveLpTableTest, EveryAnswerEqualsColdReduceLp) {
   }
 }
 
+TEST(SolveLpValidationTest, RejectsOutOfRangeLpVariant) {
+  Compressor session;
+  QueryOptions query;
+  query.lp_variant = static_cast<LpReduction>(7);
+  const StatusOr<LpQueryResult> result = session.SolveLp(Figure3Lp(), query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("lp_variant"), std::string::npos);
+  EXPECT_EQ(session.stats().lp_misses, 0);  // no LP entry made
+}
+
 TEST(SolveLpTelemetryTest, SplitsAndSecondsArePerRequest) {
   const LpProblem lp = MakeQapLikeLp(6, 3);
   Compressor session;

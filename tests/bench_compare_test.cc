@@ -1,7 +1,7 @@
-// Tests for the baseline comparator: the minimal JSON parser (round-trips
-// of what eval::JsonWriter emits, escape handling, malformed-input
-// rejection) and the gate logic (median slowdown tolerance, exact
-// counter/param matching, missing scenarios, the noise floor).
+// Tests for the baseline comparator's gate logic (median slowdown
+// tolerance, exact counter/param matching, missing scenarios, the noise
+// floor). The JSON parser it reads reports with is tested in
+// util_json_test.cc.
 
 #include "qsc/bench/compare.h"
 
@@ -19,46 +19,6 @@ JsonValue Parse(const std::string& text) {
   EXPECT_TRUE(status.ok()) << status.message();
   return value;
 }
-
-TEST(JsonParserTest, ParsesScalars) {
-  EXPECT_EQ(Parse("null").kind, JsonValue::Kind::kNull);
-  EXPECT_TRUE(Parse("true").bool_value);
-  EXPECT_FALSE(Parse("false").bool_value);
-  EXPECT_DOUBLE_EQ(Parse("-12.5e2").number_value, -1250.0);
-  EXPECT_EQ(Parse("\"hi\"").string_value, "hi");
-}
-
-TEST(JsonParserTest, ParsesEscapes) {
-  EXPECT_EQ(Parse(R"("a\"b\\c\/d\n\t")").string_value, "a\"b\\c/d\n\t");
-  // eval::JsonEscape emits control characters as \u00XX.
-  EXPECT_EQ(Parse(R"("\u0007")").string_value, "\a");
-  EXPECT_EQ(Parse(R"("\u00e9")").string_value, "\xc3\xa9");  // e-acute, UTF-8
-}
-
-TEST(JsonParserTest, ParsesNestedContainers) {
-  const JsonValue v = Parse(R"({"a": [1, 2, {"b": null}], "c": {}})");
-  ASSERT_EQ(v.kind, JsonValue::Kind::kObject);
-  const JsonValue* a = v.Get("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->array.size(), 3u);
-  EXPECT_DOUBLE_EQ(a->array[1].number_value, 2.0);
-  EXPECT_TRUE(a->array[2].Get("b")->is_null());
-  EXPECT_EQ(v.Get("c")->object.size(), 0u);
-  EXPECT_EQ(v.Get("missing"), nullptr);
-}
-
-TEST(JsonParserTest, RejectsMalformedInput) {
-  JsonValue v;
-  EXPECT_FALSE(ParseJson("", &v).ok());
-  EXPECT_FALSE(ParseJson("{", &v).ok());
-  EXPECT_FALSE(ParseJson("[1,]", &v).ok());
-  EXPECT_FALSE(ParseJson("{\"a\" 1}", &v).ok());
-  EXPECT_FALSE(ParseJson("\"unterminated", &v).ok());
-  EXPECT_FALSE(ParseJson("12 34", &v).ok());  // trailing garbage
-  EXPECT_FALSE(ParseJson("nul", &v).ok());
-}
-
-// --- comparator ----------------------------------------------------------
 
 std::string ReportDoc(double median, double counter,
                       const char* name = "coloring/x", int schema = 1) {

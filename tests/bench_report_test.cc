@@ -101,20 +101,34 @@ TEST(BenchReportTest, ReportGroupsAreDistinctAndSorted) {
   EXPECT_EQ(BenchFileName("coloring"), "BENCH_coloring.json");
 }
 
-// The reproducibility contract on a real registered scenario: same seed
+// The reproducibility contract on real registered scenarios: same seed
 // => bitwise-identical params and counters (timings are free to differ).
+// The sub-second paper/* reproductions ride along; each must also fill its
+// detail table.
 TEST(BenchReportTest, BuiltinScenarioCountersAreSeedDeterministic) {
   RegisterBuiltinScenarios();
-  const Scenario* scenario =
-      ScenarioRegistry::Global().Find("coloring/rothko-ba-10k-c64");
-  ASSERT_NE(scenario, nullptr);
-  BenchContext ctx = FastContext();
-  ctx.seed = 5;
-  const ScenarioResult first = scenario->Run(ctx);
-  const ScenarioResult second = scenario->Run(ctx);
-  EXPECT_EQ(first.params, second.params);
-  EXPECT_EQ(first.counters, second.counters);
-  ASSERT_FALSE(first.counters.empty());
+  for (const char* name :
+       {"coloring/rothko-ba-10k-c64", "paper/fig1-karate",
+        "paper/fig2-robustness", "paper/fig3-lp-example",
+        "paper/table2-datasets", "paper/table4-compression"}) {
+    SCOPED_TRACE(name);
+    const Scenario* scenario = ScenarioRegistry::Global().Find(name);
+    ASSERT_NE(scenario, nullptr);
+    BenchContext ctx = FastContext();
+    ctx.seed = 5;
+    const ScenarioResult first = scenario->Run(ctx);
+    const ScenarioResult second = scenario->Run(ctx);
+    EXPECT_EQ(first.params, second.params);
+    EXPECT_EQ(first.counters, second.counters);
+    ASSERT_FALSE(first.counters.empty());
+    if (first.group == "paper") {
+      EXPECT_FALSE(first.table_header.empty());
+      EXPECT_FALSE(first.table_rows.empty());
+      for (const auto& row : first.table_rows) {
+        EXPECT_EQ(row.size(), first.table_header.size());
+      }
+    }
+  }
 }
 
 TEST(BenchReportTest, WriteFileRejectsBadPath) {

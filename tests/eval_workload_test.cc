@@ -9,7 +9,7 @@
 #include <cmath>
 #include <set>
 
-#include "qsc/eval/json.h"
+#include "qsc/util/json.h"
 #include "qsc/eval/pipelines.h"
 #include "qsc/eval/suites.h"
 
